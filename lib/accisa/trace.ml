@@ -2,11 +2,12 @@ module Ev = Machine.Ev
 
 (* Conversion from executed I-ISA instructions to {!Machine.Ev.t} events.
 
-   The DBT execution engine (core.Exec) calls [ev] for every committed
-   instruction with the dynamic facts only it knows: the instruction's
-   byte address in the translation cache, branch outcome and target (also
-   as byte addresses), effective address, dual-RAS verification outcome,
-   and how many V-ISA instructions this event retires. *)
+   The DBT execution engine (core.Exec_acc) builds each cache slot's event
+   once with [ev], passing what only it knows: the slot's byte address in
+   the translation cache, whether it starts a strand, and how many V-ISA
+   instructions it retires. Each commit copies that event with its dynamic
+   effective address, branch outcome and target (a byte address). A
+   dual-RAS return's verification outcome is its [taken] flag. *)
 
 let cls_of : Insn.t -> Ev.cls = function
   | Alu { op = Mull | Mulq | Umulh; _ } -> Mul
@@ -19,13 +20,13 @@ let cls_of : Insn.t -> Ev.cls = function
   | Push_dras _ -> Alu
   | Ret_dras _ -> Ret
 
-let pred_of (i : Insn.t) ~dras_hit : Ev.pred =
+let pred_of (i : Insn.t) : Ev.pred =
   match i with
   | Bc _ | Call_xlate_cond _ -> P_cond
   | Br _ | Call_xlate _ -> P_direct
   | Jmp_ind _ -> P_indirect
   | Push_dras _ -> P_dras_call
-  | Ret_dras _ -> P_dras_ret dras_hit
+  | Ret_dras _ -> P_dras_ret
   | _ -> Not_control
 
 let token = function
@@ -59,7 +60,7 @@ let steer_acc (i : Insn.t) =
   | Some a -> a
   | None -> ( match Insn.acc_read i with Some a -> a | None -> -1)
 
-let ev ?(dras_hit = false) ?(strand_start = false) ?(alpha_count = 0) ~pc ~ea
+let ev ?(strand_start = false) ?(alpha_count = 0) ~pc ~ea
     ~taken ~target (i : Insn.t) : Ev.t =
   let ss = Insn.srcs i in
   let nth n = match List.nth_opt ss n with Some s -> token s | None -> -1 in
@@ -79,6 +80,6 @@ let ev ?(dras_hit = false) ?(strand_start = false) ?(alpha_count = 0) ~pc ~ea
     ea;
     taken;
     target;
-    pred = pred_of i ~dras_hit;
+    pred = pred_of i;
     alpha_count;
   }

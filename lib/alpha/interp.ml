@@ -191,8 +191,17 @@ let run ?(fuel = max_int) t =
   go fuel
 
 (* Run while emitting one {!Machine.Ev.t} per committed instruction — the
-   trace source for the "original" out-of-order superscalar simulations. *)
+   trace source for the "original" out-of-order superscalar simulations.
+   The static part of each text instruction's event is built once, up
+   front; a commit copies it with its dynamic [ea], [taken] and [target]. *)
 let run_ev ?(fuel = max_int) t ~(sink : Ev.t -> unit) =
+  let tmpls =
+    Array.mapi
+      (fun k insn ->
+        Trace.ev_of_exec ~pc:(t.text_base + (4 * k)) ~insn ~taken:false
+          ~target:0 ~ea:0 ())
+      t.code
+  in
   let rec go n =
     if n <= 0 then Out_of_fuel
     else
@@ -200,8 +209,8 @@ let run_ev ?(fuel = max_int) t ~(sink : Ev.t -> unit) =
       | Halted c -> Exit c
       | Trapped tr -> Fault tr
       | Step i ->
-        sink (Trace.ev_of_exec ~pc:i.xpc ~insn:i.insn ~taken:i.taken
-                ~target:i.next_pc ~ea:i.ea ());
+        let tmpl = tmpls.((i.xpc - t.text_base) lsr 2) in
+        sink { tmpl with ea = i.ea; taken = i.taken; target = i.next_pc };
         go (n - 1)
   in
   go fuel

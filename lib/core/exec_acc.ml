@@ -79,6 +79,9 @@ type t = {
      from the cache's execution-count profile at the first promotion, or
      installed from a snapshot before prewarm. Deliberately survives cache
      flushes — idioms describe the workload, not one cache generation. *)
+  tmpls : Machine.Ev.t Tcache.Acc.shadow;
+  (* per-slot static part of the slot's timing event, built on the slot's
+     first commit under a sink; [Ev.default] until then *)
 }
 
 and op = t -> int
@@ -128,6 +131,7 @@ let create ctx interp =
     rthreshold = max_int;
     regions = [];
     idioms = None;
+    tmpls = Tcache.Acc.shadow Machine.Ev.default;
   }
 
 let get_g t g =
@@ -1414,6 +1418,23 @@ let run_threaded ?(fuel = max_int) t ~entry : exit =
 
 (* ---------- instrumented (match-based) engine ---------- *)
 
+(* The static part of slot [s]'s event, built on its first commit. *)
+let tmpl_of t s insn =
+  let cells = t.tmpls.Tcache.Acc.cells in
+  let tm = cells.(s) in
+  if tm != t.tmpls.empty then tm
+  else begin
+    let tc = t.ctx.tc in
+    let tm =
+      Accisa.Trace.ev
+        ~strand_start:(Tcache.Acc.starts_strand tc s)
+        ~alpha_count:(Vec.get t.ctx.slot_alpha s)
+        ~pc:(Tcache.Acc.addr_of tc s) ~ea:0 ~taken:false ~target:0 insn
+    in
+    cells.(s) <- tm;
+    tm
+  end
+
 (* Execute from [entry] (a slot) until a VM exit. [fuel] bounds the number
    of V-ISA instructions retired. *)
 let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
@@ -1421,6 +1442,8 @@ let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
   let budget = ref fuel in
   (* sink-attached runs must stay slot-granular: no region promotion *)
   t.rthreshold <- max_int;
+  (* the cache does not change while this loop runs *)
+  if Option.is_some sink then Tcache.Acc.sync_shadow tc t.tmpls;
   (match Tcache.Acc.frag_of_entry tc entry with
   | Some f -> enter_fragment t f
   | None -> ());
@@ -1440,7 +1463,6 @@ let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
     let next = ref (s + 1) in
     let taken = ref false in
     let ea = ref 0 in
-    let dras_hit = ref false in
     (try
        (match insn with
        | I.Alu { op; d; a; b } ->
@@ -1493,7 +1515,6 @@ let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
          let v_actual = Int64.to_int (src_val t v) in
          match Machine.Dual_ras.pop_verify t.dras ~v_actual with
          | Some i ->
-           dras_hit := true;
            t.stats.ret_dras_hits <- t.stats.ret_dras_hits + 1;
            taken := true;
            next := i
@@ -1535,16 +1556,17 @@ let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
       | None -> failwith "exec_acc: fault at a slot with no PEI entry"));
     (match sink with
     | Some (f : Machine.Ev.t -> unit) ->
+      let tm = tmpl_of t s insn in
       f
-        (Accisa.Trace.ev ~dras_hit:!dras_hit
-           ~strand_start:(Tcache.Acc.starts_strand tc s)
-           ~alpha_count:alpha ~pc:(Tcache.Acc.addr_of tc s) ~ea:!ea
-           ~taken:!taken
-           ~target:
-             (match !result with
-             | Some _ -> Tcache.Acc.addr_of tc s + 4
-             | None -> Tcache.Acc.addr_of tc !next)
-           insn)
+        {
+          tm with
+          ea = !ea;
+          taken = !taken;
+          target =
+            (match !result with
+            | Some _ -> tm.pc + 4
+            | None -> Tcache.Acc.addr_of tc !next);
+        }
     | None -> ());
     if running () then begin
       if !budget <= 0 then result := Some X_fuel else slot := !next

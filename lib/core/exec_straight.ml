@@ -46,6 +46,7 @@ type t = {
   mutable regions : regionc list;
   (* --- superop tier state (see Exec_acc) --- *)
   mutable idioms : Superop.table option;
+  tmpls : Machine.Ev.t Tcache.Straight.shadow; (* see Exec_acc *)
 }
 
 and op = t -> int
@@ -85,6 +86,7 @@ let create ctx interp =
     rthreshold = max_int;
     regions = [];
     idioms = None;
+    tmpls = Tcache.Straight.shadow Machine.Ev.default;
   }
 
 (* Dynamic dispatch-miss target lives in GP by convention. *)
@@ -1072,6 +1074,21 @@ let run_threaded ?(fuel = max_int) t ~entry : exit =
 
 (* ---------- instrumented (match-based) engine ---------- *)
 
+(* The static part of slot [s]'s event, built on its first commit. *)
+let tmpl_of t ~pc s insn =
+  let cells = t.tmpls.Tcache.Straight.cells in
+  let tm = cells.(s) in
+  if tm != t.tmpls.empty then tm
+  else begin
+    let tm =
+      Alpha.Trace.ev_of_exec
+        ~alpha_count:(Vec.get t.ctx.slot_alpha s)
+        ~pc ~insn ~taken:false ~target:0 ~ea:0 ()
+    in
+    cells.(s) <- tm;
+    tm
+  end
+
 let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
   let tc = t.ctx.tc in
   let get r = Alpha.Interp.get t.interp r in
@@ -1080,6 +1097,8 @@ let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
   let budget = ref fuel in
   (* sink-attached runs must stay slot-granular: no region promotion *)
   t.rthreshold <- max_int;
+  (* the cache does not change while this loop runs *)
+  if Option.is_some sink then Tcache.Straight.sync_shadow tc t.tmpls;
   (match Tcache.Straight.frag_of_entry tc entry with
   | Some f -> enter_fragment t f
   | None -> ());
@@ -1099,7 +1118,6 @@ let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
     let next = ref (s + 1) in
     let taken = ref false in
     let ea = ref 0 in
-    let dras_hit = ref false in
     (try
        (match insn with
        | A.Mem (Lda, ra, disp, rb) -> set ra (Int64.add (get rb) (Int64.of_int disp))
@@ -1157,7 +1175,6 @@ let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
          let v_actual = Int64.to_int (get rb) in
          match Machine.Dual_ras.pop_verify t.dras ~v_actual with
          | Some i ->
-           dras_hit := true;
            t.stats.ret_dras_hits <- t.stats.ret_dras_hits + 1;
            taken := true;
            next := i
@@ -1194,15 +1211,17 @@ let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
     (match sink with
     | Some (f : Machine.Ev.t -> unit) ->
       let base = Tcache.Straight.addr_of tc 0 in
-      let addr sl = base + (4 * sl) in
+      let tm = tmpl_of t ~pc:(base + (4 * s)) s insn in
       f
-        (Alpha.Trace.ev_of_exec ~dras_hit:!dras_hit ~alpha_count:alpha
-           ~pc:(addr s) ~insn ~taken:!taken
-           ~target:
-             (match !result with
-             | Some _ -> addr s + 4
-             | None -> addr !next)
-           ~ea:!ea ())
+        {
+          tm with
+          ea = !ea;
+          taken = !taken;
+          target =
+            (match !result with
+            | Some _ -> tm.pc + 4
+            | None -> base + (4 * !next));
+        }
     | None -> ());
     if running () then begin
       if !budget <= 0 then result := Some X_fuel else slot := !next

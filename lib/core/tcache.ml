@@ -152,6 +152,38 @@ struct
   let patch_count t = Vec.length t.patch_log
   let patched_slot t i = Vec.get t.patch_log i
 
+  (* Per-slot values an engine derives from the cache on a slot's first
+     use (the timing-event templates). [sync_shadow] keeps one coherent
+     with the cache: a new generation empties every slot, a patch empties
+     the patched slot, and the array grows to cover every slot. An empty
+     slot holds [empty], told apart by physical equality. *)
+  type 'a shadow = {
+    empty : 'a;
+    mutable cells : 'a array;
+    mutable shadow_gen : int;
+    mutable shadow_mark : int; (* patch-log entries already applied *)
+  }
+
+  let shadow empty = { empty; cells = [||]; shadow_gen = -1; shadow_mark = 0 }
+
+  let sync_shadow t sh =
+    if sh.shadow_gen <> t.gen then begin
+      sh.cells <- [||];
+      sh.shadow_mark <- 0;
+      sh.shadow_gen <- t.gen
+    end;
+    let n = n_slots t and len = Array.length sh.cells in
+    if n > len then begin
+      let grown = Array.make (Int.max n (2 * len)) sh.empty in
+      Array.blit sh.cells 0 grown 0 len;
+      sh.cells <- grown
+    end;
+    let m = patch_count t in
+    for i = sh.shadow_mark to m - 1 do
+      sh.cells.(patched_slot t i) <- sh.empty
+    done;
+    sh.shadow_mark <- m
+
   let lookup t v_addr =
     let r = Hashtbl.find_opt t.by_ventry v_addr in
     (match r with

@@ -22,6 +22,8 @@ type timing = {
   ipc : float;
   mpki : float; (* mispredictions per 1000 committed instructions *)
   misfetch_pki : float;
+  mispredicts : int;
+  misfetches : int;
 }
 
 let fuel = 100_000_000
@@ -49,6 +51,8 @@ let timing_of_ooo (m : Uarch.Ooo.t) =
     mpki = Uarch.Pred.mpki m.pred ~insns:m.n;
     misfetch_pki =
       1000.0 *. float_of_int m.pred.misfetches /. float_of_int (max 1 m.n);
+    mispredicts = m.pred.mispredicts;
+    misfetches = m.pred.misfetches;
   }
 
 let timing_of_ildp (m : Uarch.Ildp.t) =
@@ -61,6 +65,8 @@ let timing_of_ildp (m : Uarch.Ildp.t) =
     mpki = Uarch.Pred.mpki m.pred ~insns:m.n;
     misfetch_pki =
       1000.0 *. float_of_int m.pred.misfetches /. float_of_int (max 1 m.n);
+    mispredicts = m.pred.mispredicts;
+    misfetches = m.pred.misfetches;
   }
 
 (* ---------- original (native Alpha on the superscalar model) ---------- *)

@@ -47,7 +47,7 @@ let push t ~v_addr ~i_addr =
   if t.depth = Array.length t.buf then t.overflows <- t.overflows + 1;
   t.buf.(t.top) <- { v_addr; i_addr };
   t.top <- (t.top + 1) mod Array.length t.buf;
-  t.depth <- min (t.depth + 1) (Array.length t.buf)
+  t.depth <- Int.min (t.depth + 1) (Array.length t.buf)
 
 (* Pop and verify against the actual V-ISA return address held in the return
    register. Returns [Some i_addr] when the prediction verifies (the common

@@ -11,7 +11,14 @@
                   32..63 VM scratch registers in translated code)
      64..64+k     accumulators (ILDP I-ISA)
 
-   [-1] means "no register". *)
+   [-1] means "no register".
+
+   Every field except [ea], [taken] and [target] is static per instruction:
+   it depends on the instruction and where it sits, not on the run. The
+   event sources therefore build that part once per instruction (a
+   template) and emit [{ tmpl with ea; taken; target }] per commit. Sinks
+   must treat events as immutable values: they may keep an event, but must
+   assume nothing about its physical identity. *)
 
 type cls =
   | Alu        (* single-cycle integer op *)
@@ -34,7 +41,9 @@ type pred =
   | P_ras_call_ind    (* register-indirect call (JSR): RAS push + BTB target *)
   | P_ras_ret         (* pops the conventional RAS *)
   | P_dras_call       (* pushes the dual-address RAS *)
-  | P_dras_ret of bool (* dual-address RAS return; payload = pair verified *)
+  | P_dras_ret        (* dual-address RAS return: it transfers control
+                         exactly when the pair verifies, so a hit is
+                         [taken] and a miss falls through *)
 
 type t = {
   pc : int;            (* byte address of this instruction (I- or V-space) *)

@@ -35,7 +35,7 @@ let predict_update t pc ~taken =
   let i = index t pc in
   let c = Char.code (Bytes.get t.table i) in
   let pred = c >= 2 in
-  let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
+  let c' = if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1) in
   Bytes.set t.table i (Char.chr c');
   t.hist <- ((t.hist lsl 1) lor if taken then 1 else 0) land ((1 lsl t.hist_bits) - 1);
   if pred <> taken then t.mispredicts <- t.mispredicts + 1;

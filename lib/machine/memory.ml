@@ -60,7 +60,7 @@ let set_dirty_tracking t on = t.track_dirty <- on
 let clear_dirty t = Hashtbl.reset t.dirty
 
 let dirty_chunks t =
-  Hashtbl.fold (fun c () acc -> c :: acc) t.dirty [] |> List.sort compare
+  Hashtbl.fold (fun c () acc -> c :: acc) t.dirty [] |> List.sort Int.compare
 
 let chunk_bytes t c = Hashtbl.find_opt t.chunks c
 
@@ -178,7 +178,7 @@ let iter_segments ~addr ~len f =
   let a = ref addr in
   while !a < stop do
     let off = !a land (chunk_size - 1) in
-    let n = min (chunk_size - off) (stop - !a) in
+    let n = Int.min (chunk_size - off) (stop - !a) in
     f !a off n;
     a := !a + n
   done

@@ -15,7 +15,7 @@ let clear t =
 let push t addr =
   t.buf.(t.top) <- addr;
   t.top <- (t.top + 1) mod Array.length t.buf;
-  t.depth <- min (t.depth + 1) (Array.length t.buf)
+  t.depth <- Int.min (t.depth + 1) (Array.length t.buf)
 
 let pop t =
   if t.depth = 0 then None

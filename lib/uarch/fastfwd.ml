@@ -178,8 +178,8 @@ let fast_est t =
          *. (float_of_int t.det_cycles /. float_of_int t.det_insns)))
 
 let cycles t =
-  if t.interval = 0 then max 1 (t.model_cycles ())
-  else max 1 (t.det_cycles + fast_est t)
+  if t.interval = 0 then Int.max 1 (t.model_cycles ())
+  else Int.max 1 (t.det_cycles + fast_est t)
 
 let ipc t = float_of_int t.n /. float_of_int (cycles t)
 let v_ipc t = float_of_int t.alpha /. float_of_int (cycles t)

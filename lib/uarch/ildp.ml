@@ -156,6 +156,22 @@ let pick_pe t (ev : Ev.t) =
     | _ -> ll
   end
 
+(* Operand readiness as seen from [pe]: a GPR produced on another PE, or
+   one draining lazily to the architected file, pays the communication
+   latency. Top-level rather than closures in [feed], and [Int.max] rather
+   than the polymorphic [max], so the per-event path allocates nothing and
+   calls no generic compare. *)
+let ready t pe tok acc =
+  if tok < 0 then acc
+  else begin
+    let base = t.reg_ready.(tok) in
+    let remote = t.reg_pe.(tok) <> pe || t.reg_lazy.(tok) in
+    Int.max acc (if remote then base + t.p.comm else base)
+  end
+
+(* The same readiness with every producer local (zero communication). *)
+let ready_local t tok acc = if tok < 0 then acc else Int.max acc t.reg_ready.(tok)
+
 let feed t (ev : Ev.t) =
   (* ---- fetch ---- *)
   if t.next_fetch_min > t.fetch_cycle then new_fetch_group t t.next_fetch_min;
@@ -184,25 +200,17 @@ let feed t (ev : Ev.t) =
   let fifo = t.pe_fifo.(pe) in
   let fifo_slot = t.pe_count.(pe) mod t.p.fifo_depth in
   let d =
-    max (f + t.p.depth) (max (t.rob_ring.(rob_slot) + 1) (fifo.(fifo_slot) + 1))
+    Int.max (f + t.p.depth)
+      (Int.max (t.rob_ring.(rob_slot) + 1) (fifo.(fifo_slot) + 1))
   in
   (* ---- operand readiness (communication latency for remote GPRs) ---- *)
-  let ready tok acc =
-    if tok < 0 then acc
-    else begin
-      let base = t.reg_ready.(tok) in
-      let remote = t.reg_pe.(tok) <> pe || t.reg_lazy.(tok) in
-      max acc (if remote then base + t.p.comm else base)
-    end
+  let r = ready t pe ev.src1 (ready t pe ev.src2 (ready t pe ev.src3 (d + 1))) in
+  let r0 =
+    ready_local t ev.src1 (ready_local t ev.src2 (ready_local t ev.src3 (d + 1)))
   in
-  let ready_local tok acc =
-    if tok < 0 then acc else max acc t.reg_ready.(tok)
-  in
-  let r = ready ev.src1 (ready ev.src2 (ready ev.src3 (d + 1))) in
-  let r0 = ready_local ev.src1 (ready_local ev.src2 (ready_local ev.src3 (d + 1))) in
   (* ---- in-order single-issue per PE ---- *)
-  let issue = max r (t.pe_last_issue.(pe) + 1) in
-  let issue0 = max r0 (t.pe_last_issue.(pe) + 1) in
+  let issue = Int.max r (t.pe_last_issue.(pe) + 1) in
+  let issue0 = Int.max r0 (t.pe_last_issue.(pe) + 1) in
   if issue > issue0 then begin
     t.comm_stalls <- t.comm_stalls + 1;
     t.comm_cycles <- t.comm_cycles + (issue - issue0)
@@ -228,7 +236,7 @@ let feed t (ev : Ev.t) =
     t.reg_lazy.(ev.dst2) <- ev.lazy_dst2
   end;
   (* ---- commit ---- *)
-  let c = Slots.book t.commit (max (complete + 1) t.last_commit) in
+  let c = Slots.book t.commit (Int.max (complete + 1) t.last_commit) in
   t.last_commit <- c;
   t.rob_ring.(rob_slot) <- c;
   t.n <- t.n + 1;
@@ -237,8 +245,8 @@ let feed t (ev : Ev.t) =
   match Pred.classify t.pred ev with
   | `Seq -> if ev.cls = Cond_br then t.prev_open_bb <- true
   | `Taken_ok -> new_fetch_group t (t.fetch_cycle + 1)
-  | `Misfetch -> t.next_fetch_min <- max t.next_fetch_min (f + t.p.redirect)
-  | `Mispredict -> t.next_fetch_min <- max t.next_fetch_min (complete + t.p.redirect)
+  | `Misfetch -> t.next_fetch_min <- Int.max t.next_fetch_min (f + t.p.redirect)
+  | `Mispredict -> t.next_fetch_min <- Int.max t.next_fetch_min (complete + t.p.redirect)
 
 (* Functional warming (SMARTS-style): a sampling controller's fast window
    skips the cycle simulation but must keep the long-lived history state —
@@ -280,10 +288,10 @@ let c_comm_cycles = Obs.counter "uarch.ildp.comm_cycles"
 
 let boundary t =
   Obs.bump c_boundaries 1;
-  t.next_fetch_min <- max t.next_fetch_min t.last_commit;
+  t.next_fetch_min <- Int.max t.next_fetch_min t.last_commit;
   t.prev_open_bb <- false
 
-let cycles t = max 1 t.last_commit
+let cycles t = Int.max 1 t.last_commit
 
 (* Native I-ISA instructions per cycle (last bar of Fig. 8). *)
 let ipc t = float_of_int t.n /. float_of_int (cycles t)

@@ -104,6 +104,9 @@ let fetch_line t pc =
     end
   end
 
+(* Operand readiness: top-level and [Int.max] (see {!Ildp.ready}). *)
+let ready t r acc = if r >= 0 then Int.max acc t.reg_ready.(r) else acc
+
 (* Feed one committed instruction. *)
 let feed t (ev : Ev.t) =
   (* ---- fetch ---- *)
@@ -119,10 +122,9 @@ let feed t (ev : Ev.t) =
   t.fetch_insns <- t.fetch_insns + 1;
   (* ---- dispatch (ROB capacity) ---- *)
   let rob_slot = t.n mod t.p.rob in
-  let d = max (f + t.p.depth) (t.rob_ring.(rob_slot) + 1) in
+  let d = Int.max (f + t.p.depth) (t.rob_ring.(rob_slot) + 1) in
   (* ---- issue ---- *)
-  let ready r acc = if r >= 0 then max acc t.reg_ready.(r) else acc in
-  let r = ready ev.src1 (ready ev.src2 (ready ev.src3 (d + 1))) in
+  let r = ready t ev.src1 (ready t ev.src2 (ready t ev.src3 (d + 1))) in
   let issue = Slots.book t.issue r in
   let lat =
     match ev.cls with
@@ -135,7 +137,7 @@ let feed t (ev : Ev.t) =
   if ev.dst >= 0 then t.reg_ready.(ev.dst) <- complete;
   if ev.dst2 >= 0 then t.reg_ready.(ev.dst2) <- complete;
   (* ---- commit (in order, width-limited) ---- *)
-  let c = Slots.book t.commit (max (complete + 1) t.last_commit) in
+  let c = Slots.book t.commit (Int.max (complete + 1) t.last_commit) in
   t.last_commit <- c;
   t.rob_ring.(rob_slot) <- c;
   t.n <- t.n + 1;
@@ -144,8 +146,8 @@ let feed t (ev : Ev.t) =
   (match Pred.classify t.pred ev with
   | `Seq -> if ev.cls = Cond_br then t.prev_open_bb <- true
   | `Taken_ok -> new_fetch_group t (t.fetch_cycle + 1)
-  | `Misfetch -> t.next_fetch_min <- max t.next_fetch_min (f + t.p.redirect)
-  | `Mispredict -> t.next_fetch_min <- max t.next_fetch_min (complete + t.p.redirect))
+  | `Misfetch -> t.next_fetch_min <- Int.max t.next_fetch_min (f + t.p.redirect)
+  | `Mispredict -> t.next_fetch_min <- Int.max t.next_fetch_min (complete + t.p.redirect))
 
 (* Functional warming (SMARTS-style): keep the long-lived history state —
    caches, branch predictor — fed during a sampling controller's fast
@@ -175,10 +177,10 @@ let c_misfetches = Obs.counter "uarch.ooo.misfetches"
 (* Mode-switch boundary: the pipeline drains and restarts empty. *)
 let boundary t =
   Obs.bump c_boundaries 1;
-  t.next_fetch_min <- max t.next_fetch_min t.last_commit;
+  t.next_fetch_min <- Int.max t.next_fetch_min t.last_commit;
   t.prev_open_bb <- false
 
-let cycles t = max 1 (t.last_commit - t.start_cycle)
+let cycles t = Int.max 1 (t.last_commit - t.start_cycle)
 
 let ipc t = float_of_int t.n /. float_of_int (cycles t)
 

@@ -4,7 +4,8 @@ open Machine
    direction predictor, BTB, conventional RAS, and the dual-address RAS
    outcome carried on events by the functional simulator (the functional
    and timing dual-RAS behaviours are identical by construction: both pop
-   the same stream).
+   the same stream). A dual-RAS return transfers control exactly when its
+   pair verifies, so the event's [taken] flag is the hit.
 
    Each committed control event is classified into:
    - [`Seq]        no transfer (or correctly predicted not-taken)
@@ -39,7 +40,11 @@ let create ?(use_ras = true) () =
 type outcome = [ `Seq | `Taken_ok | `Misfetch | `Mispredict ]
 
 let btb_target_ok t (ev : Ev.t) =
-  let hit = Btb.lookup t.btb ev.pc = Some ev.target in
+  let hit =
+    match Btb.lookup t.btb ev.pc with
+    | Some target -> target = ev.target
+    | None -> false
+  in
   Btb.update t.btb ev.pc ~target:ev.target;
   hit
 
@@ -95,11 +100,11 @@ let classify t (ev : Ev.t) : outcome =
     end
   | P_ras_ret when t.use_ras ->
     t.control <- t.control + 1;
-    if Ras.pop t.ras = Some ev.target then `Taken_ok
-    else begin
+    (match Ras.pop t.ras with
+    | Some target when target = ev.target -> `Taken_ok
+    | Some _ | None ->
       t.mispredicts <- t.mispredicts + 1;
-      `Mispredict
-    end
+      `Mispredict)
   | P_ras_ret ->
     (* RAS disabled: predict the return through the BTB like any other
        register-indirect jump *)
@@ -109,9 +114,9 @@ let classify t (ev : Ev.t) : outcome =
       t.mispredicts <- t.mispredicts + 1;
       `Mispredict
     end
-  | P_dras_ret hit ->
+  | P_dras_ret ->
     t.control <- t.control + 1;
-    if hit then `Taken_ok
+    if ev.taken then `Taken_ok
     else begin
       t.mispredicts <- t.mispredicts + 1;
       `Mispredict

@@ -690,6 +690,41 @@ let test_cross_domain_zero_chunk () =
     (Machine.Memory.checksum unmapped ~addr:0 ~len:65536)
     (Machine.Memory.checksum m ~addr:0 ~len:65536)
 
+(* A slot shadow (the engines' event templates) keeps derived values only
+   while their slot is unchanged: a patch empties that slot, new slots
+   start empty, and a new cache generation empties every slot. *)
+let test_tcache_shadow () =
+  let tc = Tcache.Acc.create () in
+  let push () = ignore (Tcache.Acc.push tc (Accisa.Insn.Br { target = 0 }) : int) in
+  let sh = Tcache.Acc.shadow "empty" in
+  let view () =
+    Tcache.Acc.sync_shadow tc sh;
+    List.init (Tcache.Acc.n_slots tc) (fun s ->
+        if sh.cells.(s) == sh.empty then "-" else sh.cells.(s))
+  in
+  let fill () =
+    Tcache.Acc.sync_shadow tc sh;
+    for s = 0 to Tcache.Acc.n_slots tc - 1 do
+      if sh.cells.(s) == sh.empty then sh.cells.(s) <- string_of_int s
+    done
+  in
+  let expect what want = check Alcotest.(list string) what want (view ()) in
+  push ();
+  push ();
+  push ();
+  expect "new slots start empty" [ "-"; "-"; "-" ];
+  fill ();
+  expect "filled" [ "0"; "1"; "2" ];
+  Tcache.Acc.patch tc 1 (Accisa.Insn.Br { target = 2 });
+  expect "a patch empties its slot" [ "0"; "-"; "2" ];
+  fill ();
+  push ();
+  expect "growth keeps filled slots" [ "0"; "1"; "2"; "-" ];
+  Tcache.Acc.clear tc;
+  push ();
+  push ();
+  expect "a new generation empties every slot" [ "-"; "-" ]
+
 let suite =
   [
     ("superblock formed for hot loop", `Quick, test_superblock_formed);
@@ -708,4 +743,5 @@ let suite =
     ("cache flush empties and re-forms", `Quick, test_flush_retranslates);
     ("Vm.create allocates under 1 MiB", `Quick, test_create_allocation);
     ("VMs on two domains leave the zero chunk zero", `Quick, test_cross_domain_zero_chunk);
+    ("tcache slot shadow follows patches and flushes", `Quick, test_tcache_shadow);
   ]

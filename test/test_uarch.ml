@@ -184,6 +184,71 @@ let test_pred_ras_nested () =
   check Alcotest.bool "outer ret predicted" true (ret 0x210 0x1004 = `Taken_ok);
   check Alcotest.int "no mispredicts" 0 p.mispredicts
 
+(* One case per [Ev.pred] kind, each from a fresh predictor unless the
+   case trains it first. *)
+let test_pred_outcome_table () =
+  let name = function
+    | `Seq -> "seq"
+    | `Taken_ok -> "taken_ok"
+    | `Misfetch -> "misfetch"
+    | `Mispredict -> "mispredict"
+  in
+  let classify ?(p = Uarch.Pred.create ()) ?(pc = 0x1000) ?(taken = true) cls
+      pred target =
+    name (Uarch.Pred.classify p (mk_ev ~pc ~cls ~taken ~target ~pred ()))
+  in
+  let expect what want got = check Alcotest.string what want got in
+  expect "not control" "seq" (classify Ev.Alu Ev.Not_control 0 ~taken:false);
+  expect "dual-RAS push" "seq" (classify Ev.Alu Ev.P_dras_call 0 ~taken:false);
+  (* dual-RAS return: taken exactly when the pair verified *)
+  expect "dual-RAS return hit" "taken_ok" (classify Ev.Ret Ev.P_dras_ret 0x2000);
+  expect "dual-RAS return miss" "mispredict"
+    (classify Ev.Ret Ev.P_dras_ret 0x1004 ~taken:false);
+  (* conditional: counters start weakly taken *)
+  expect "cond not-taken against weakly-taken counter" "mispredict"
+    (classify Ev.Cond_br Ev.P_cond 0x1004 ~taken:false);
+  let p = Uarch.Pred.create () in
+  expect "cond taken, BTB cold" "misfetch" (classify ~p Ev.Cond_br Ev.P_cond 0x2000);
+  expect "cond taken, BTB warm" "taken_ok" (classify ~p Ev.Cond_br Ev.P_cond 0x2000);
+  (* direct jump: the decoder can compute the target, a BTB miss misfetches *)
+  let p = Uarch.Pred.create () in
+  expect "direct, BTB cold" "misfetch" (classify ~p Ev.Jump Ev.P_direct 0x2000);
+  expect "direct, BTB warm" "taken_ok" (classify ~p Ev.Jump Ev.P_direct 0x2000);
+  expect "direct, retargeted" "misfetch" (classify ~p Ev.Jump Ev.P_direct 0x3000);
+  check Alcotest.int "direct: 2 misfetches" 2 p.misfetches;
+  check Alcotest.int "direct: no mispredicts" 0 p.mispredicts;
+  (* indirect jump: a wrong BTB target is a full mispredict *)
+  let p = Uarch.Pred.create () in
+  expect "indirect, BTB cold" "mispredict" (classify ~p Ev.Jump Ev.P_indirect 0x2000);
+  expect "indirect, BTB warm" "taken_ok" (classify ~p Ev.Jump Ev.P_indirect 0x2000);
+  expect "indirect, retargeted" "mispredict"
+    (classify ~p Ev.Jump Ev.P_indirect 0x3000);
+  check Alcotest.int "indirect: 3 control" 3 p.control;
+  (* calls push the RAS whatever the BTB says *)
+  let p = Uarch.Pred.create () in
+  expect "direct call, BTB cold" "misfetch" (classify ~p Ev.Call Ev.P_ras_call 0x2000);
+  expect "indirect call, BTB cold" "mispredict"
+    (classify ~p ~pc:0x2000 Ev.Call Ev.P_ras_call_ind 0x3000);
+  expect "return to the indirect call" "taken_ok"
+    (classify ~p ~pc:0x3000 Ev.Ret Ev.P_ras_ret 0x2004);
+  expect "return to the direct call" "taken_ok"
+    (classify ~p ~pc:0x2008 Ev.Ret Ev.P_ras_ret 0x1004);
+  expect "return on an empty RAS" "mispredict"
+    (classify ~p ~pc:0x1008 Ev.Ret Ev.P_ras_ret 0x4000);
+  let p = Uarch.Pred.create () in
+  ignore (classify ~p Ev.Call Ev.P_ras_call 0x2000);
+  expect "return to the wrong address" "mispredict"
+    (classify ~p ~pc:0x2008 Ev.Ret Ev.P_ras_ret 0x5000);
+  (* without the RAS a return is a BTB-predicted indirect jump *)
+  let p = Uarch.Pred.create ~use_ras:false () in
+  ignore (classify ~p Ev.Call Ev.P_ras_call 0x2000);
+  expect "no RAS: return, BTB cold" "mispredict"
+    (classify ~p ~pc:0x2008 Ev.Ret Ev.P_ras_ret 0x1004);
+  expect "no RAS: return, BTB warm" "taken_ok"
+    (classify ~p ~pc:0x2008 Ev.Ret Ev.P_ras_ret 0x1004);
+  expect "no RAS: return, retargeted" "mispredict"
+    (classify ~p ~pc:0x2008 Ev.Ret Ev.P_ras_ret 0x1104)
+
 (* ---------- end-to-end: translated code through the timing models ---------- *)
 
 let fig2_src =
@@ -378,6 +443,102 @@ let test_fastfwd_create_validates () =
   (* interval 0 disables sampling and accepts any window sizes *)
   mk ~interval:0 ~warmup:50 ~detail:100 ()
 
+(* ---------- golden timing results ---------- *)
+
+(* Exact results of the timing models on three workloads at scale 1: gcc
+   runs indirect jumps through its jump table, eon and vortex exercise
+   dual-RAS returns that hit and miss. Simulation is deterministic, so a
+   change to any emitted event field, to the way an engine builds events,
+   or to a model decision moves at least one of these numbers. They are
+   [cycles; insns; alpha; mispredicts; misfetches]. *)
+let golden =
+  [
+    ("gcc original", [ 158653; 195722; 195722; 5721; 30 ]);
+    ("gcc original no-RAS", [ 158653; 195722; 195722; 5722; 30 ]);
+    ("gcc straight no-pred", [ 190092; 278838; 183313; 4874; 31 ]);
+    ("gcc straight sw-pred", [ 189087; 291657; 183313; 5026; 34 ]);
+    ("gcc straight sw-pred+RAS", [ 189087; 291657; 183313; 5026; 34 ]);
+    ("gcc acc basic fig8", [ 258468; 370999; 183313; 5252; 32 ]);
+    ("gcc acc modified fig8", [ 215509; 276705; 183313; 5073; 33 ]);
+    ("gcc acc modified 4PE/2c/8K", [ 299703; 276705; 183313; 5073; 33 ]);
+    ("eon original", [ 111154; 350795; 350795; 678; 20 ]);
+    ("eon original no-RAS", [ 171871; 350795; 350795; 9096; 20 ]);
+    ("eon straight no-pred", [ 234636; 495567; 335532; 8893; 23 ]);
+    ("eon straight sw-pred", [ 119142; 388966; 335532; 876; 24 ]);
+    ("eon straight sw-pred+RAS", [ 107451; 348615; 335532; 953; 12 ]);
+    ("eon acc basic fig8", [ 201119; 706127; 335532; 949; 12 ]);
+    ("eon acc modified fig8", [ 165353; 571434; 335532; 965; 12 ]);
+    ("eon acc modified 4PE/2c/8K", [ 329655; 571434; 335532; 965; 12 ]);
+    ("vortex original", [ 98010; 224096; 224096; 1673; 29 ]);
+    ("vortex original no-RAS", [ 105676; 224096; 224096; 2811; 29 ]);
+    ("vortex straight no-pred", [ 142559; 266400; 206255; 4901; 26 ]);
+    ("vortex straight sw-pred", [ 97227; 218545; 206255; 1802; 29 ]);
+    ("vortex straight sw-pred+RAS", [ 97877; 210067; 206255; 2032; 18 ]);
+    ("vortex acc basic fig8", [ 151383; 359726; 206255; 2053; 18 ]);
+    ("vortex acc modified fig8", [ 121984; 280958; 206255; 2050; 16 ]);
+    ("vortex acc modified 4PE/2c/8K", [ 192790; 280958; 206255; 2050; 16 ]);
+    ("vortex acc modified fig8 flushing", [ 106200; 185542; 128010; 2495; 45 ]);
+  ]
+
+let fig8_ildp = Harness.Experiments.ildp_base 8 0 `Big 4
+let small_ildp = Harness.Experiments.ildp_base 4 2 `Small 4
+
+(* A translation-cache capacity that makes vortex flush several times,
+   so its run also covers the engines' per-slot event templates
+   restarting on each new cache generation. *)
+let flush_slots = 600
+
+let golden_row (t : Harness.Runner.timing) =
+  [ t.cycles; t.insns; t.alpha; t.mispredicts; t.misfetches ]
+
+let flushing_run name =
+  let w = Option.get (Workloads.find name) in
+  let cfg = { Core.Config.default with tcache_max_slots = flush_slots } in
+  let vm = Core.Vm.create ~cfg ~kind:Core.Vm.Acc (Workloads.program ~scale:1 w) in
+  let m = Uarch.Ildp.create ~params:fig8_ildp () in
+  let outcome =
+    Core.Vm.run ~sink:(Uarch.Ildp.feed m)
+      ~boundary:(fun () -> Uarch.Ildp.boundary m)
+      ~fuel:Harness.Runner.fuel vm
+  in
+  check Alcotest.bool "flushing run completes" true
+    (match outcome with Core.Vm.Exit _ -> true | _ -> false);
+  check Alcotest.bool "flushing run flushes" true (vm.segs.capacity_flushes > 1);
+  golden_row (Harness.Runner.timing_of_ildp m)
+
+let golden_runs () =
+  let module R = Harness.Runner in
+  let module C = Core.Config in
+  List.concat_map
+    (fun name ->
+      let w = Option.get (Workloads.find name) in
+      let acc ?(isa = C.Modified) ildp =
+        golden_row (Option.get (R.acc ~isa ~ildp w).a_t)
+      in
+      [
+        (name ^ " original", golden_row (R.original w));
+        (name ^ " original no-RAS", golden_row (R.original ~use_ras:false w));
+        (name ^ " straight no-pred",
+          golden_row (R.straight ~chaining:C.No_pred w).s_t);
+        (name ^ " straight sw-pred",
+          golden_row (R.straight ~chaining:C.Sw_pred_no_ras w).s_t);
+        (name ^ " straight sw-pred+RAS",
+          golden_row (R.straight ~chaining:C.Sw_pred_ras w).s_t);
+        (name ^ " acc basic fig8", acc ~isa:C.Basic fig8_ildp);
+        (name ^ " acc modified fig8", acc fig8_ildp);
+        (name ^ " acc modified 4PE/2c/8K", acc small_ildp);
+      ])
+    [ "gcc"; "eon"; "vortex" ]
+  @ [ ("vortex acc modified fig8 flushing", flushing_run "vortex") ]
+
+let test_timing_golden () =
+  let actual = golden_runs () in
+  check Alcotest.(list string) "golden labels" (List.map fst golden)
+    (List.map fst actual);
+  List.iter2
+    (fun (label, want) (_, got) -> check Alcotest.(list int) label want got)
+    golden actual
+
 let suite =
   [
     ("slot booking bandwidth", `Quick, test_slots_bandwidth);
@@ -391,6 +552,7 @@ let suite =
     ("ildp: boundary drains pipeline", `Quick, test_ildp_boundary_drains);
     ("pred: random cond branches mispredict", `Quick, test_pred_counts_cond_mispredicts);
     ("pred: nested RAS pairs", `Quick, test_pred_ras_nested);
+    ("pred: outcome per prediction kind", `Quick, test_pred_outcome_table);
     ("end-to-end ILDP V-IPC", `Quick, test_end_to_end_ildp_ipc);
     ("end-to-end OoO V-IPC", `Quick, test_end_to_end_ooo_ipc);
     ("end-to-end more PEs helps", `Quick, test_end_to_end_more_pes_not_slower);
@@ -402,4 +564,5 @@ let suite =
       test_fastfwd_sampling_deterministic);
     ("fastfwd: interval=0 is exact", `Quick, test_fastfwd_interval0_exact);
     ("fastfwd: window validation", `Quick, test_fastfwd_create_validates);
+    ("golden timing results", `Quick, test_timing_golden);
   ]
