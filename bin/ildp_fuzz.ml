@@ -99,11 +99,11 @@ type report = {
 (* One seed under one mode; on divergence, minimize the block list with
    ddmin (the predicate re-runs the oracle on the rendered subset) and
    re-derive the report from the minimized program. *)
-let run_seed_mode ~granularity ~threaded ~region ~superops ~flush_every
-    ~tcache_max_slots ~warm_start seed mode (prog : Oracle.Gen.program) =
+let run_seed_mode ~granularity ~threaded ~flush_every ~tcache_max_slots
+    ~warm_start seed mode (prog : Oracle.Gen.program) =
   let go blocks =
-    Oracle.Lockstep.run ~granularity ~threaded ~region ~superops ~flush_every
-      ~tcache_max_slots ~warm_start ~mode
+    Oracle.Lockstep.run ~granularity ~threaded ~flush_every ~tcache_max_slots
+      ~warm_start ~mode
       (Oracle.Gen.assemble ~blocks prog)
   in
   match go prog.blocks with
@@ -132,8 +132,8 @@ let run_seed_mode ~granularity ~threaded ~region ~superops ~flush_every
       }
 
 (* A shard of contiguous seeds processed on one worker domain. *)
-let run_shard ~gen ~modes ~granularity ~threaded ~region ~superops
-    ~flush_every ~tcache_max_slots ~warm_start ~deadline seeds =
+let run_shard ~gen ~modes ~granularity ~threaded ~flush_every
+    ~tcache_max_slots ~warm_start ~deadline seeds =
   let tot = totals_zero () in
   let reports = ref [] in
   let errors = ref [] in
@@ -153,8 +153,8 @@ let run_shard ~gen ~modes ~granularity ~threaded ~region ~superops
         List.iter
           (fun mode ->
             match
-              run_seed_mode ~granularity ~threaded ~region ~superops
-                ~flush_every ~tcache_max_slots ~warm_start seed mode prog
+              run_seed_mode ~granularity ~threaded ~flush_every
+                ~tcache_max_slots ~warm_start seed mode prog
             with
             | Ok c -> add_cov tot c
             | Error r -> reports := r :: !reports
@@ -182,16 +182,12 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let write_json oc ~programs ~seed ~count ~jobs ~modes ~threaded ~region
-    ~superops ~stress ~warm_start ~tot ~reports ~errors =
+let write_json oc ~programs ~seed ~count ~jobs ~modes ~threaded ~stress
+    ~warm_start ~tot ~reports ~errors =
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"schema\": \"ildp-dbt-fuzz/1\",\n";
-  p "  \"engine\": \"%s\",\n"
-    (if superops then "superop"
-     else if region then "region"
-     else if threaded then "threaded"
-     else "instrumented");
+  p "  \"engine\": \"%s\",\n" (if threaded then "threaded" else "instrumented");
   p "  \"generator\": \"%s\",\n" (if stress then "stress" else "oracle");
   p "  \"warm_start\": %b,\n" warm_start;
   p "  \"programs\": %d,\n" programs;
@@ -242,13 +238,12 @@ let write_json oc ~programs ~seed ~count ~jobs ~modes ~threaded ~region
 (* One file per divergence, named so a directory aggregating several fuzz
    arms stays collision-free: the minimized source plus the rendered
    divergence, ready to re-run with `ildp_run FILE.s`. *)
-let write_repros dir ~threaded ~region ~superops ~stress ~warm_start reports =
+let write_repros dir ~threaded ~stress ~warm_start reports =
   if reports <> [] then begin
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let arm =
       String.concat ""
-        [ (if superops then "-superop" else if region then "-region"
-           else if threaded then "-threaded" else "");
+        [ (if threaded then "-threaded" else "");
           (if stress then "-stress" else "");
           (if warm_start then "-warm" else "") ]
     in
@@ -270,7 +265,7 @@ let write_repros dir ~threaded ~region ~superops ~stress ~warm_start reports =
   end
 
 let run count seed minutes jobs modes_arg flush_every tcache_cap per_insn
-    threaded region superops stress warm_start json_path repro_dir quiet =
+    threaded stress warm_start json_path repro_dir quiet =
   let modes =
     if modes_arg = "all" then Oracle.Lockstep.all_modes
     else
@@ -308,9 +303,9 @@ let run count seed minutes jobs modes_arg flush_every tcache_cap per_insn
         Array.to_list shards
         |> List.map (fun shard ->
                Harness.Pool.submit pool (fun () ->
-                   run_shard ~gen ~modes ~granularity ~threaded ~region
-                     ~superops ~flush_every ~tcache_max_slots ~warm_start
-                     ~deadline (List.rev shard)))
+                   run_shard ~gen ~modes ~granularity ~threaded
+                     ~flush_every ~tcache_max_slots ~warm_start ~deadline
+                     (List.rev shard)))
         |> List.map (Harness.Pool.await))
   in
   let tot = totals_zero () in
@@ -343,7 +338,7 @@ let run count seed minutes jobs modes_arg flush_every tcache_cap per_insn
   end;
   let emit oc =
     write_json oc ~programs:!programs ~seed ~count ~jobs ~modes ~threaded
-      ~region ~superops ~stress ~warm_start ~tot ~reports ~errors:!errors
+      ~stress ~warm_start ~tot ~reports ~errors:!errors
   in
   (match json_path with
   | "-" -> emit stdout
@@ -353,7 +348,7 @@ let run count seed minutes jobs modes_arg flush_every tcache_cap per_insn
     close_out oc);
   Option.iter
     (fun dir ->
-      write_repros dir ~threaded ~region ~superops ~stress ~warm_start reports)
+      write_repros dir ~threaded ~stress ~warm_start reports)
     repro_dir;
   if reports <> [] || !errors <> [] then exit 1
 
@@ -383,8 +378,7 @@ let cmd =
   let tcache_cap =
     Arg.(value & opt int 0 & info [ "tcache-cap" ]
            ~doc:"Bound the translation cache to N slots so capacity-policy \
-                 whole-cache flushes (and the region/fused invalidations \
-                 they force) run under lockstep (0 = unbounded).")
+                 whole-cache flushes run under lockstep (0 = unbounded).")
   in
   let per_insn =
     Arg.(value & opt bool true & info [ "per-insn" ]
@@ -395,21 +389,6 @@ let cmd =
     Arg.(value & flag & info [ "threaded" ]
            ~doc:"Run the VM sink-less so translated execution takes the \
                  threaded-code engine (boundary granularity only).")
-  in
-  let region =
-    Arg.(value & flag & info [ "region" ]
-           ~doc:"Run the VM sink-less under the region tier-up engine with \
-                 an aggressive promotion threshold, validating region \
-                 compilation, bulk accounting, and invalidation (implies \
-                 the sink-less setup of --threaded).")
-  in
-  let superops =
-    Arg.(value & flag & info [ "superops" ]
-           ~doc:"Run the VM sink-less under the region engine with superop \
-                 block fusion on, validating the fused-closure tier — \
-                 specialized block bodies, idiom-template arms, mid-block \
-                 fault unwinds — against the golden interpreter (implies \
-                 --region).")
   in
   let stress =
     Arg.(value & flag & info [ "stress" ]
@@ -442,7 +421,7 @@ let cmd =
        ~doc:"Differential fuzzing of the DBT against the Alpha interpreter")
     Term.(
       const run $ count $ seed $ minutes $ jobs $ modes $ flush_every
-      $ tcache_cap $ per_insn $ threaded $ region $ superops $ stress
-      $ warm_start $ json $ repro_dir $ quiet)
+      $ tcache_cap $ per_insn $ threaded $ stress $ warm_start $ json
+      $ repro_dir $ quiet)
 
 let () = exit (Cmd.eval cmd)

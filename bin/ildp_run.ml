@@ -59,12 +59,6 @@ let run_one buf src scale isa chaining n_accs engine interp_only straight ildp
     | "sw_pred" -> Core.Config.Sw_pred_no_ras
     | _ -> Core.Config.Sw_pred_ras
   in
-  let engine =
-    match engine with
-    | "matched" -> Core.Config.Matched
-    | "region" -> Core.Config.Region
-    | _ -> Core.Config.Threaded
-  in
   if interp_only then begin
     let st = Alpha.Interp.create prog in
     let m = if ooo then Some (Uarch.Ooo.create ()) else None in
@@ -143,8 +137,6 @@ let run_one buf src scale isa chaining n_accs engine interp_only straight ildp
       (if straight then "straightened-Alpha" else "accumulator-ISA")
       (Core.Config.isa_name isa)
       (Core.Config.chaining_name chaining);
-    if engine = Core.Config.Region then
-      Printf.bprintf buf "regions        : %d live\n" (Core.Vm.region_count vm);
     Option.iter
       (fun path -> Printf.bprintf buf "warm start     : %s\n" path)
       load_cache;
@@ -270,9 +262,13 @@ let cmd =
   in
   let n_accs = Arg.(value & opt int 4 & info [ "accs" ] ~doc:"Logical accumulators.") in
   let engine =
-    Arg.(value & opt string "threaded" & info [ "engine" ]
-           ~doc:"Sink-less execution engine: threaded, matched, or region \
-                 (threaded plus the hot-region tier-up compiler).")
+    let engines =
+      List.map
+        (fun e -> (Core.Config.engine_name e, e))
+        [ Core.Config.Threaded; Core.Config.Matched ]
+    in
+    Arg.(value & opt (enum engines) Core.Config.Threaded & info [ "engine" ]
+           ~doc:"Sink-less execution engine: threaded or matched.")
   in
   let interp = Arg.(value & flag & info [ "interp" ] ~doc:"Interpret only (no DBT).") in
   let straight =

@@ -67,33 +67,12 @@ type t = {
   mutable ops_gen : int; (* Tcache generation the compiled prefix shadows *)
   mutable patch_mark : int; (* patch-log entries already recompiled *)
   mutable budget : int; (* V-ISA retirement budget of the current run *)
-  (* --- region tier-up state --- *)
-  mutable rthreshold : int;
-  (* promotion threshold of the engine currently driving execution:
-     [cfg.region_threshold] while the Region trampoline runs, [max_int]
-     everywhere else so the instrumented/sink paths never promote *)
-  mutable regions : regionc list; (* live regions, for patch invalidation *)
-  (* --- superop tier state --- *)
-  mutable idioms : Superop.table option;
-  (* ranked idiom table gating multi-slot fusion templates: mined lazily
-     from the cache's execution-count profile at the first promotion, or
-     installed from a snapshot before prewarm. Deliberately survives cache
-     flushes — idioms describe the workload, not one cache generation. *)
   tmpls : Machine.Ev.t Tcache.Acc.shadow;
   (* per-slot static part of the slot's timing event, built on the slot's
      first commit under a sink; [Ev.default] until then *)
 }
 
 and op = t -> int
-
-and regionc = {
-  rg : Region.t;
-  r_orig : op; (* the entry slot's slot-granular op, restored on
-                  invalidation and used for the entry inside the region *)
-  r_bops : op array;
-      (* fused per-block closures (superop tier), [||] when the region
-         runs unfused; dropped with the region on invalidation *)
-}
 
 type exit =
   | X_reason of Exitr.reason
@@ -128,9 +107,6 @@ let create ctx interp =
     ops_gen = -1;
     patch_mark = 0;
     budget = 0;
-    rthreshold = max_int;
-    regions = [];
-    idioms = None;
     tmpls = Tcache.Acc.shadow Machine.Ev.default;
   }
 
@@ -284,635 +260,10 @@ let faulted t s =
     ret_trap
   | None -> failwith "exec_acc: fault at a slot with no PEI entry"
 
-(* ---------- region tier-up (second compilation tier) ---------- *)
-
-(* Telemetry (names shared with Exec_straight, like the compile metrics
-   below: one VM only ever owns one backend). *)
-let c_region_compiles = Obs.counter "engine.region_compiles"
-let c_region_exits = Obs.counter "engine.region_exits"
-let c_region_invalidations = Obs.counter "engine.region_invalidations"
-
-(* Top bound matches the default [region_max_slots] cap (1024); the
-   [.saturated] counter reports clipping under a raised cap. *)
-let h_region_slots =
-  Obs.histogram "engine.region_slots"
-    ~bounds:[| 4; 8; 16; 32; 64; 128; 256; 512; 1024 |]
-
-let sp_region = Obs.span "compile_region"
-
-let ctrl_of_insn : I.t -> Region.ctrl = function
-  | I.Br { target } -> Region.C_br target
-  | I.Bc { target; _ } -> Region.C_bc target
-  | I.Jmp_ind _ -> Region.C_dyn
-  | I.Ret_dras _ -> Region.C_dyn_fall
-  | I.Call_xlate _ -> Region.C_exit
-  | I.Call_xlate_cond _ -> Region.C_cond_exit
-  | _ -> Region.C_seq
-
-(* A fault at slot [s] of block [b]: the slots after [s] were charged in
-   bulk at block entry but never ran — take their statistics back and
-   refund their retirement budget. (The faulting slot's own one-credit
-   refund was already performed by [faulted] inside the op.) *)
-let unwind_region_suffix t (rg : Region.t) b s =
-  let st = t.stats in
-  let fin = rg.b_start.(b) + rg.b_len.(b) - 1 in
-  for sl = s + 1 to fin do
-    let a = Array.unsafe_get t.alphas sl in
-    st.i_exec <- st.i_exec - 1;
-    let c = Array.unsafe_get t.classes sl in
-    st.by_class.(c) <- st.by_class.(c) - 1;
-    st.alpha_retired <- st.alpha_retired - a;
-    st.st_cycles <- st.st_cycles - Array.unsafe_get t.cycs sl;
-    t.budget <- t.budget + a
-  done
-
-(* Execute region [rg] from block [b0], charging statistics in bulk at
-   block entry — one budget subtraction and a handful of adds per block,
-   precomputed to equal exactly what the slot-granular trampoline would
-   have charged across the block's slots. A block only runs when the
-   remaining budget strictly covers it — bulk execution can therefore
-   never overrun a fuel stop the slot-granular engine would have taken;
-   on a short budget we return the block-start slot (budget still
-   positive) and the trampoline resumes slot-granularly. The return value
-   follows the compiled-op protocol. *)
-let run_region t (rg : Region.t) (orig : op) b0 : int =
-  let ops = t.ops in
-  let entry = rg.entry_slot in
-  let b_start = rg.b_start and b_len = rg.b_len and b_alpha = rg.b_alpha in
-  let b_cyc = rg.b_cyc and b_cls = rg.b_cls in
-  let b_fall_slot = rg.b_fall_slot and b_fall_blk = rg.b_fall_blk in
-  let b_taken_slot = rg.b_taken_slot and b_taken_blk = rg.b_taken_blk in
-  let st = t.stats in
-  let by_class = st.by_class in
-  let rec block b =
-    let ba = Array.unsafe_get b_alpha b in
-    if t.budget <= ba then begin
-      Obs.bump c_region_exits 1;
-      Array.unsafe_get b_start b
-    end
-    else begin
-      t.budget <- t.budget - ba;
-      st.i_exec <- st.i_exec + Array.unsafe_get b_len b;
-      st.alpha_retired <- st.alpha_retired + ba;
-      st.st_cycles <- st.st_cycles + Array.unsafe_get b_cyc b;
-      let base = b * Region.n_classes in
-      for c = 0 to Region.n_classes - 1 do
-        Array.unsafe_set by_class c
-          (Array.unsafe_get by_class c + Array.unsafe_get b_cls (base + c))
-      done;
-      let s0 = Array.unsafe_get b_start b in
-      slots b s0 (s0 + Array.unsafe_get b_len b - 1)
-    end
-  and slots b s fin =
-    let op = if s = entry then orig else Array.unsafe_get ops s in
-    let n = op t in
-    if s >= fin then dispatch b n
-    else if n = s + 1 then slots b (s + 1) fin
-    else begin
-      (* mid-block ops either fall through or fault: [n] is [ret_trap] *)
-      unwind_region_suffix t rg b s;
-      Obs.bump c_region_exits 1;
-      n
-    end
-  and dispatch b n =
-    if n = Array.unsafe_get b_fall_slot b then
-      block (Array.unsafe_get b_fall_blk b)
-    else if n = Array.unsafe_get b_taken_slot b then
-      block (Array.unsafe_get b_taken_blk b)
-    else if n >= 0 then begin
-      (* dynamic transfer (DRAS return hit, predicted indirect jump):
-         continue in-region when the target is a block start *)
-      let bi = Region.blk_at rg n in
-      if bi >= 0 then block bi
-      else begin
-        Obs.bump c_region_exits 1;
-        n
-      end
-    end
-    else begin
-      Obs.bump c_region_exits 1;
-      n
-    end
-  in
-  block b0
-
-(* ---------- superop tier (third compilation tier) ---------- *)
-
-(* Telemetry (names shared with Exec_straight, same reasoning as above). *)
-let c_superop_fusions = Obs.counter "engine.superop_fusions"
-let c_superop_idiom_hits = Obs.counter "engine.superop_idiom_hits"
-
-let h_fused_slots =
-  Obs.histogram "engine.fused_block_slots"
-    ~bounds:[| 1; 2; 4; 8; 16; 32; 64; 128 |]
-
-(* Slot shape for idiom mining (see {!Superop}): operation class plus
-   operand-kind mask, dropping operand identity. Pure — safe to apply to
-   any translated slot at any time. *)
-let shape_of_insn (insn : I.t) : Superop.shape =
-  let const : I.src -> bool = function
-    | I.Simm _ -> true
-    | I.Sgpr g -> g = Alpha.Reg.zero
-    | I.Sacc _ -> false
-  in
-  match insn with
-  | I.Alu { op; a; b; _ } ->
-    let m = (if const a then 2 else 0) lor (if const b then 1 else 0) in
-    Superop.Sh_alu (Superop.aluk_of_op3 op, m)
-  | I.Cmov_test _ | I.Cmov_sel _ -> Superop.Sh_cmov
-  | I.Load { width; signed; _ } ->
-    Superop.Sh_load (I.bytes_of_width width, signed)
-  | I.Store { width; _ } -> Superop.Sh_store (I.bytes_of_width width)
-  | I.Lta _ | I.Copy_to_gpr _ | I.Copy_from_gpr _ -> Superop.Sh_move
-  | I.Bc _ -> Superop.Sh_bc
-  | I.Br _ | I.Jmp_ind _ | I.Ret_dras _ | I.Call_xlate _
-  | I.Call_xlate_cond _ ->
-    Superop.Sh_ctl
-  | I.Set_vbase _ | I.Push_dras _ -> Superop.Sh_misc
-
-(* Mine the ranked idiom table from the cache's per-fragment execution
-   counts (every translated fragment that ran contributes its shape
-   sequence at its dynamic weight). Lazy: the first promotion — or a
-   snapshot save — pays it once; a warm start installs the persisted
-   table instead and fuses immediately. *)
-let mine_idioms t : Superop.table =
-  let tc = t.ctx.tc in
-  let profiles =
-    List.filter_map
-      (fun (f : Tcache.frag) ->
-        if f.exec_count <= 0 || f.n_slots <= 0 then None
-        else
-          Some
-            ( Array.init f.n_slots (fun i ->
-                  shape_of_insn (Tcache.Acc.get tc (f.entry_slot + i))),
-              f.exec_count ))
-      (Tcache.Acc.fragments tc)
-  in
-  Superop.mine profiles
-
-let idiom_table t =
-  match t.idioms with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = mine_idioms t in
-    t.idioms <- Some tbl;
-    tbl
-
-(* Install a (decoded, validated) idiom table — the snapshot warm-start
-   path, called before [prewarm] so restored hot regions fuse with the
-   profile's idioms. *)
-let set_idiom_table t tbl = t.idioms <- Some tbl
-
-(* The closure installed at a promoted fragment's entry slot. The
-   trampoline has already charged the entry slot's statistics and budget
-   when it calls us, so bulk execution first takes that charge back; when
-   the budget cannot strictly cover even the entry block we bail to the
-   original op, keeping slot-granular semantics (and guaranteeing
-   progress: a bailed entry never re-enters the region with more fuel).
-   The fused tier has no central driver loop: each fused block head
-   performs its own strict budget check, each fused terminal dispatches
-   its in-region successors by direct (mutually tail-recursive) calls
-   into the sibling heads, and every exit path — budget bail, memory
-   fault, off-region target — bumps the region-exit counter itself, so
-   the single bump per exit is preserved without re-crossing a
-   dispatcher. *)
-let make_region_op t (rg : Region.t) (orig : op) (bops : op array) : op =
-  let eb = rg.entry_block in
-  let e_alpha = t.alphas.(rg.entry_slot) in
-  let e_cls = t.classes.(rg.entry_slot) in
-  let e_cyc = t.cycs.(rg.entry_slot) in
-  let entry_guard = rg.b_alpha.(eb) - e_alpha in
-  let fused = Array.length bops > 0 in
-  fun t ->
-    if t.budget <= entry_guard then orig t
-    else begin
-      let st = t.stats in
-      st.i_exec <- st.i_exec - 1;
-      st.by_class.(e_cls) <- st.by_class.(e_cls) - 1;
-      st.alpha_retired <- st.alpha_retired - e_alpha;
-      st.st_cycles <- st.st_cycles - e_cyc;
-      t.budget <- t.budget + e_alpha;
-      if fused then (Array.unsafe_get bops eb) t else run_region t rg orig eb
-    end
-
-let slot_in_live_region t slot =
-  List.exists (fun rc -> Region.contains rc.rg slot) t.regions
-
-(* Restore the slot-granular entry op of every region containing a patched
-   slot: a patch rewrites that slot's control shape, so the precomputed
-   block structure is stale. Promotion state returns to 0 — the fragment
-   re-promotes on its next entry with the post-patch chain graph. *)
-let invalidate_regions_at t sl =
-  match t.regions with
-  | [] -> ()
-  | regions ->
-    let stale, live =
-      List.partition (fun rc -> Region.contains rc.rg sl) regions
-    in
-    if stale <> [] then begin
-      List.iter
-        (fun rc ->
-          t.ops.(rc.rg.Region.entry_slot) <- rc.r_orig;
-          (match Tcache.Acc.frag_of_entry t.ctx.tc rc.rg.Region.entry_slot with
-          | Some f -> f.region_state <- 0
-          | None -> ());
-          Obs.bump c_region_invalidations 1)
-        stale;
-      t.regions <- live
-    end
-
-(* Promote [f]'s chain graph to a region: build the block structure,
-   fuse each block into a superop closure when the tier is enabled,
-   install the region closure at the fragment entry, and remember it all
-   for patch invalidation. Declines (for the rest of this cache
-   generation) when the entry already sits inside a live region — a
-   region must never call another region's entry closure mid-block, and
-   the slot is already region-accelerated anyway. Mutually recursive
-   with [fuse_block]: a fused compare+branch terminal performs
-   fragment-entry accounting itself, which is where promotion fires. *)
-let rec promote t (f : Tcache.frag) =
-  if f.region_state <> 0 then ()
-  else if slot_in_live_region t f.entry_slot then f.region_state <- 2
-  else begin
-    let tc = t.ctx.tc in
-    let built =
-      Obs.with_span sp_region (fun () ->
-          Region.build ~entry:f.entry_slot
-            ~frag_at:(fun slot ->
-              match Tcache.Acc.frag_of_entry tc slot with
-              | Some g when g.region_state <> 1 -> Some (g.n_slots, g.v_start)
-              | _ -> None)
-            ~ctrl:(fun s -> ctrl_of_insn (Tcache.Acc.get tc s))
-            ~alpha:(fun s -> t.alphas.(s))
-            ~cyc:(fun s -> t.cycs.(s))
-            ~cls:(fun s -> t.classes.(s))
-            ~max_slots:t.ctx.cfg.region_max_slots)
-    in
-    match built with
-    | None -> f.region_state <- 2
-    | Some rg ->
-      let orig = t.ops.(f.entry_slot) in
-      let bops =
-        if t.ctx.cfg.superops then fuse_region t rg orig else [||]
-      in
-      t.ops.(f.entry_slot) <- make_region_op t rg orig bops;
-      t.regions <- { rg; r_orig = orig; r_bops = bops } :: t.regions;
-      f.region_state <- 1;
-      Obs.bump c_region_compiles 1;
-      Obs.observe h_region_slots rg.total_slots
-  end
-
-(* Fuse every block of a freshly built region into one specialized
-   closure. Safe to capture per-slot ops and metadata: a live region's
-   members never gain another live region's entry op, patches invalidate
-   the region before recompiling any member slot, and a generation bump
-   drops all regions wholesale. The array is knotted: every block's
-   fused terminal captures [bops] itself and dispatches successors
-   through it, so intra-region transfers are direct mutually
-   tail-recursive calls between the fused heads. *)
-and fuse_region t (rg : Region.t) (orig : op) : op array =
-  let tbl = idiom_table t in
-  let nb = Array.length rg.Region.b_start in
-  let bops = Array.make nb (fun (_ : t) -> 0) in
-  for b = 0 to nb - 1 do
-    bops.(b) <- fuse_block t rg tbl orig bops b
-  done;
-  Obs.bump c_superop_fusions nb;
-  bops
-
-(* Fuse block [b] of region [rg]: normalize each mid-block slot to a
-   micro-operation with fuse-time-resolved operand cells, segment the
-   micro sequence against the mined idiom table, and emit one closure
-   chain (see {!Superop}). The block's bulk statistics charge is folded
-   into the head with fuse-time constants; a memory fault mid-chain runs
-   a specialized cold closure merging [faulted] with the
-   never-executed-suffix unwind — observationally identical, charge for
-   charge, to the slot-granular region path. *)
-and fuse_block t (rg : Region.t) (tbl : Superop.table) (orig : op)
-    (heads : op array) b : op =
-  let tc = t.ctx.tc in
-  let s0 = rg.b_start.(b) and len = rg.b_len.(b) in
-  let fin = s0 + len - 1 in
-  let nfin = fin + 1 in
-  let entry = rg.entry_slot in
-  (* terminal dispatch: resolve an in-region successor to its fused head
-     and transfer by direct (tail) call; anything else leaves the region
-     with the single exit bump. Comparison order matches the slot-
-     granular driver exactly — [Region.no_slot] is [min_int], so absent
-     edges can never collide with trap or exit codes. *)
-  let fall_slot = rg.b_fall_slot.(b) and fall_blk = rg.b_fall_blk.(b) in
-  let taken_slot = rg.b_taken_slot.(b) and taken_blk = rg.b_taken_blk.(b) in
-  let dispatch_term t n =
-    if n = fall_slot then (Array.unsafe_get heads fall_blk) t
-    else if n = taken_slot then (Array.unsafe_get heads taken_blk) t
-    else if n >= 0 then begin
-      let bi = Region.blk_at rg n in
-      if bi >= 0 then (Array.unsafe_get heads bi) t
-      else begin
-        Obs.bump c_region_exits 1;
-        n
-      end
-    end
-    else begin
-      Obs.bump c_region_exits 1;
-      n
-    end
-  in
-  let insn_at sl = Tcache.Acc.get tc sl in
-  let shapes = Array.init len (fun i -> shape_of_insn (insn_at (s0 + i))) in
-  (* never-executed-suffix tallies for the fault unwinds: index [i]
-     covers block offsets [i+1, len) *)
-  let suf_n = Array.make len 0 and suf_a = Array.make len 0 in
-  let suf_y = Array.make len 0 in
-  let suf_c = Array.make (len * 4) 0 in
-  for i = len - 2 downto 0 do
-    let sl = s0 + i + 1 in
-    suf_n.(i) <- suf_n.(i + 1) + 1;
-    suf_a.(i) <- suf_a.(i + 1) + t.alphas.(sl);
-    suf_y.(i) <- suf_y.(i + 1) + t.cycs.(sl);
-    let base = i * 4 and pbase = (i + 1) * 4 in
-    for c = 0 to 3 do
-      suf_c.(base + c) <- suf_c.(pbase + c)
-    done;
-    let cc = t.classes.(sl) in
-    suf_c.(base + cc) <- suf_c.(base + cc) + 1
-  done;
-  (* merged [faulted] + suffix repair for a memory micro at block offset
-     [i]: refund the faulting instruction's retirement credit and its
-     slot's whole static cycles, take back the bulk-charged statistics of
-     the suffix, apply the PEI map. A fault always leaves the region, so
-     this closure owns the single region-exit bump. *)
-  let make_fault i : op =
-    let sl = s0 + i in
-    let my_cyc = t.cycs.(sl) in
-    let k = suf_n.(i) and sa = suf_a.(i) and sy = suf_y.(i) in
-    let c0 = suf_c.(i * 4) and c1 = suf_c.((i * 4) + 1) in
-    let c2 = suf_c.((i * 4) + 2) and c3 = suf_c.((i * 4) + 3) in
-    match Tcache.Acc.pei_at tc sl with
-    | None -> fun _ -> failwith "exec_acc: fault at a slot with no PEI entry"
-    | Some pei ->
-      let map = pei.Tcache.acc_map and v_pc = pei.pei_v_pc in
-      fun t ->
-        let st = t.stats in
-        st.i_exec <- st.i_exec - k;
-        st.alpha_retired <- st.alpha_retired - 1 - sa;
-        st.st_cycles <- st.st_cycles - my_cyc - sy;
-        t.budget <- t.budget + 1 + sa;
-        let by = st.by_class in
-        by.(0) <- by.(0) - c0;
-        by.(1) <- by.(1) - c1;
-        by.(2) <- by.(2) - c2;
-        by.(3) <- by.(3) - c3;
-        Array.iter
-          (fun (a, r) -> Alpha.Interp.set t.interp r t.accs.(a))
-          map;
-        t.interp.pc <- v_pc;
-        Obs.bump c_region_exits 1;
-        ret_trap
-  in
-  (* suffix-only unwind for the fallback micro: the slot's own compiled
-     op already refunded its own credit (or exited cleanly). An
-     unexpected return from a fallback op leaves the region, so the
-     unwind also bumps the exit counter. *)
-  let make_unwind i : t -> unit =
-    let k = suf_n.(i) and sa = suf_a.(i) and sy = suf_y.(i) in
-    let c0 = suf_c.(i * 4) and c1 = suf_c.((i * 4) + 1) in
-    let c2 = suf_c.((i * 4) + 2) and c3 = suf_c.((i * 4) + 3) in
-    fun t ->
-      let st = t.stats in
-      st.i_exec <- st.i_exec - k;
-      st.alpha_retired <- st.alpha_retired - sa;
-      st.st_cycles <- st.st_cycles - sy;
-      t.budget <- t.budget + sa;
-      let by = st.by_class in
-      by.(0) <- by.(0) - c0;
-      by.(1) <- by.(1) - c1;
-      by.(2) <- by.(2) - c2;
-      by.(3) <- by.(3) - c3;
-      Obs.bump c_region_exits 1
-  in
-  (* micro normalization: every write becomes dst <- v; pred <- false;
-     echo <- v against concrete cells, with dead legs aimed at per-block
-     sink cells and constant operands frozen into one-element cells *)
-  let mem = t.interp.mem in
-  let sink64 = [| 0L |] and sinkb = [| false |] in
-  let cell = function L_arr (x, i) -> (x, i) | L_const v -> ([| v |], 0) in
-  let norm_dst d =
-    match dst_shape t d with
-    | W_acc a -> (t.accs, a, true, t.preds, a, false, sink64, 0)
-    | W_acc_gpr (a, x, i) -> (t.accs, a, true, t.preds, a, true, x, i)
-    | W_gpr (x, i) -> (x, i, false, sinkb, 0, false, sink64, 0)
-    | W_discard -> (sink64, 0, false, sinkb, 0, false, sink64, 0)
-  in
-  let mov_alu (xa, ia) (xd, id_, wp, xp, ip, we, xe, ie) : Superop.ualu =
-    {
-      Superop.u_mov = true;
-      u_f = (fun a _ -> a);
-      u_xa = xa;
-      u_ia = ia;
-      u_xb = sink64;
-      u_ib = 0;
-      u_xd = xd;
-      u_id = id_;
-      u_wp = wp;
-      u_xp = xp;
-      u_ip = ip;
-      u_we = we;
-      u_xe = xe;
-      u_ie = ie;
-    }
-  in
-  let micro_at i : t Superop.micro =
-    let sl = s0 + i in
-    match insn_at sl with
-    | I.Alu { op; d; a; b } -> (
-      let dst = norm_dst d in
-      match (src_loc t a, src_loc t b) with
-      | L_const ca, L_const cb ->
-        Superop.M_alu (mov_alu ([| (Alpha.Insn.eval_fn op) ca cb |], 0) dst)
-      | la, lb ->
-        let xa, ia = cell la and xb, ib = cell lb in
-        let xd, id_, wp, xp, ip, we, xe, ie = dst in
-        Superop.M_alu
-          {
-            Superop.u_mov = false;
-            u_f = Alpha.Insn.eval_fn op;
-            u_xa = xa;
-            u_ia = ia;
-            u_xb = xb;
-            u_ib = ib;
-            u_xd = xd;
-            u_id = id_;
-            u_wp = wp;
-            u_xp = xp;
-            u_ip = ip;
-            u_we = we;
-            u_xe = xe;
-            u_ie = ie;
-          })
-    | I.Lta { d; value } ->
-      Superop.M_alu (mov_alu ([| value |], 0) (norm_dst d))
-    | I.Copy_from_gpr { d; g } ->
-      Superop.M_alu (mov_alu (cell (src_loc t (I.Sgpr g))) (norm_dst d))
-    | I.Copy_to_gpr { g; a } ->
-      (* GPR-only write: the accumulator and its predicate are untouched *)
-      let src = cell (src_loc t (I.Sacc a)) in
-      let dst =
-        match gpr_loc t g with
-        | Some (x, i) -> (x, i, false, sinkb, 0, false, sink64, 0)
-        | None -> (sink64, 0, false, sinkb, 0, false, sink64, 0)
-      in
-      Superop.M_alu (mov_alu src dst)
-    | I.Load { width; signed; d; base; disp } ->
-      let amask = I.bytes_of_width width - 1 in
-      let ld : Memory.t -> int -> int64 =
-        match (width, signed) with
-        | I.W8, _ -> Memory.get_i64
-        | I.W4, true ->
-          fun m a ->
-            Int64.of_int32 (Int64.to_int32 (Int64.of_int (Memory.get_u32 m a)))
-        | I.W4, false -> fun m a -> Int64.of_int (Memory.get_u32 m a)
-        | I.W2, _ -> fun m a -> Int64.of_int (Memory.get_u16 m a)
-        | I.W1, _ -> fun m a -> Int64.of_int (Memory.get_u8 m a)
-      in
-      let xb, ib = cell (src_loc t base) in
-      let xd, id_, wp, xp, ip, we, xe, ie = norm_dst d in
-      Superop.M_ld
-        {
-          Superop.l_ld = ld;
-          l_amask = amask;
-          l_xb = xb;
-          l_ib = ib;
-          l_disp = disp;
-          l_mem = mem;
-          l_xd = xd;
-          l_id = id_;
-          l_wp = wp;
-          l_xp = xp;
-          l_ip = ip;
-          l_we = we;
-          l_xe = xe;
-          l_ie = ie;
-        }
-    | I.Store { width; value; base; disp } ->
-      let amask = I.bytes_of_width width - 1 in
-      let st_ : Memory.t -> int -> int64 -> unit =
-        match width with
-        | I.W8 -> Memory.set_i64
-        | I.W4 ->
-          fun m a v ->
-            Memory.set_u32 m a (Int64.to_int (Int64.logand v 0xffffffffL))
-        | I.W2 ->
-          fun m a v ->
-            Memory.set_u16 m a (Int64.to_int (Int64.logand v 0xffffL))
-        | I.W1 ->
-          fun m a v -> Memory.set_u8 m a (Int64.to_int (Int64.logand v 0xffL))
-      in
-      let xv, iv = cell (src_loc t value) in
-      let xb, ib = cell (src_loc t base) in
-      Superop.M_st
-        {
-          Superop.s_st = st_;
-          s_amask = amask;
-          s_xv = xv;
-          s_iv = iv;
-          s_xb = xb;
-          s_ib = ib;
-          s_disp = disp;
-          s_mem = mem;
-        }
-    | _ ->
-      (* cmov pair, vbase, dual-RAS push: keep the slot's compiled op *)
-      Superop.M_op (if sl = entry then orig else Array.unsafe_get t.ops sl)
-  in
-  let last_is_seq =
-    match ctrl_of_insn (insn_at fin) with Region.C_seq -> true | _ -> false
-  in
-  let n_mids = if last_is_seq then len else len - 1 in
-  let micros = Array.init n_mids micro_at in
-  let term_plain : op =
-    if last_is_seq then fun t -> dispatch_term t nfin
-    else
-      let top = if fin = entry then orig else Array.unsafe_get t.ops fin in
-      fun t -> dispatch_term t (top t)
-  in
-  (* compare+branch terminal fusion: when the mined table contains the
-     (alu, bc) 2-gram ending this block and the branch tests exactly the
-     accumulator the preceding micro writes, fold both into the terminal
-     — the loop latch costs one closure call instead of two *)
-  let mids_end, term, bc_fused =
-    if last_is_seq || n_mids = 0 then (n_mids, term_plain, false)
-    else
-      match (insn_at fin, micros.(n_mids - 1)) with
-      | I.Bc { cond; v = I.Sacc va; target }, Superop.M_alu u
-        when u.Superop.u_xd == t.accs
-             && u.Superop.u_id = va
-             && Superop.enabled tbl shapes ~pos:(len - 2) ~len:2 ->
-        let c = Alpha.Insn.cond_fn cond in
-        let accs = t.accs in
-        let seg : op =
-          match Tcache.Acc.frag_of_entry tc target with
-          | Some f ->
-            fun t ->
-              Superop.alu_step u;
-              if c (Array.unsafe_get accs va) then begin
-                enter_fragment t f;
-                dispatch_term t target
-              end
-              else dispatch_term t nfin
-          | None ->
-            fun t ->
-              Superop.alu_step u;
-              dispatch_term t
-                (if c (Array.unsafe_get accs va) then target else nfin)
-        in
-        (n_mids - 1, seg, true)
-      | _ -> (n_mids, term_plain, false)
-  in
-  let body, hits =
-    Superop.fuse_segments tbl shapes micros ~mids_end
-      ~next_of:(fun i -> s0 + i + 1)
-      ~fh:make_fault ~unw:make_unwind ~term
-  in
-  let hits = if bc_fused then hits + 1 else hits in
-  if hits > 0 then Obs.bump c_superop_idiom_hits hits;
-  Obs.observe h_fused_slots len;
-  (* block head: the strict budget check (bail to the trampoline at this
-     block's start slot when fuel cannot cover the whole block), then the
-     bulk statistics charge with fuse-time constants *)
-  let ba = rg.b_alpha.(b) and bcyc = rg.b_cyc.(b) in
-  let base = b * Region.n_classes in
-  let n0 = rg.b_cls.(base) and n1 = rg.b_cls.(base + 1) in
-  let n2 = rg.b_cls.(base + 2) and n3 = rg.b_cls.(base + 3) in
-  let blen = len in
-  fun t ->
-    if t.budget <= ba then begin
-      Obs.bump c_region_exits 1;
-      s0
-    end
-    else begin
-      t.budget <- t.budget - ba;
-      let st = t.stats in
-    st.i_exec <- st.i_exec + blen;
-    st.alpha_retired <- st.alpha_retired + ba;
-    st.st_cycles <- st.st_cycles + bcyc;
-    let by = st.by_class in
-      Array.unsafe_set by 0 (Array.unsafe_get by 0 + n0);
-      Array.unsafe_set by 1 (Array.unsafe_get by 1 + n1);
-      Array.unsafe_set by 2 (Array.unsafe_get by 2 + n2);
-      Array.unsafe_set by 3 (Array.unsafe_get by 3 + n3);
-      body t
-    end
-
-(* Single source of truth for fragment-entry accounting; region tier-up
-   promotion hangs off it. [rthreshold] is [cfg.region_threshold] only
-   while the Region engine drives the trampoline — every other path
-   (Threaded, Matched, sink-attached instrumented runs) keeps it at
-   [max_int] so promotion never fires there. *)
-and enter_fragment t (f : Tcache.frag) =
+(* Single source of truth for fragment-entry accounting. *)
+let enter_fragment t (f : Tcache.frag) =
   f.exec_count <- f.exec_count + 1;
-  t.stats.frag_enters <- t.stats.frag_enters + 1;
-  if f.exec_count >= t.rthreshold && f.region_state = 0 then promote t f
+  t.stats.frag_enters <- t.stats.frag_enters + 1
 
 (* Fragment-entry accounting for a dynamic (register-valued) transfer
    target: O(1) probe of the cache's slot-indexed entry map. *)
@@ -936,7 +287,7 @@ let check_static t ~slot target =
          target)
 
 (* Compile one cache slot into its specialized closure. Runs after
-   translation of the current region is complete, so every static branch
+   translation of the current superblock is complete, so every static branch
    target exists and the entry status of every existing slot is final
    (entries are declared before their slot is pushed; patches and flushes
    trigger recompilation through the patch log / generation counter). *)
@@ -1310,9 +661,7 @@ let sync_ops t =
     t.ops <- [||];
     t.ops_len <- 0;
     t.patch_mark <- 0;
-    t.ops_gen <- gen;
-    (* the compiled prefix the regions indexed into is gone wholesale *)
-    t.regions <- []
+    t.ops_gen <- gen
   end;
   let n = Tcache.Acc.n_slots tc in
   if n > Array.length t.ops then begin
@@ -1344,12 +693,6 @@ let sync_ops t =
           Array.unsafe_set t.cycs sl (Vec.get t.ctx.slot_cyc_ildp sl)
         done;
         t.ops_len <- n;
-        (* a patch rewrites a slot's control shape: drop any region whose
-           block structure covered it before recompiling, so a region
-           entry op is never overwritten by a stale original *)
-        for i = t.patch_mark to m - 1 do
-          invalidate_regions_at t (Tcache.Acc.patched_slot tc i)
-        done;
         for i = t.patch_mark to m - 1 do
           let sl = Tcache.Acc.patched_slot tc i in
           if sl < n then begin
@@ -1360,27 +703,8 @@ let sync_ops t =
         t.patch_mark <- m)
 
 (* Warm start: pay closure compilation for every restored cache slot up
-   front instead of on the first [run] after a snapshot load.
-   [hot_entries] (fragment entry slots, hottest first) feeds the
-   snapshot's hotness profile into region tier-up: the loader passes
-   every fragment whose persisted [exec_count] crossed the region
-   threshold, so known-hot loops run region-compiled from the first warm
-   instruction. *)
-let prewarm ?(hot_entries = []) t =
-  sync_ops t;
-  List.iter
-    (fun slot ->
-      match Tcache.Acc.frag_of_entry t.ctx.tc slot with
-      | Some f -> promote t f
-      | None -> ())
-    hot_entries
-
-let region_count t = List.length t.regions
-
-(* Number of live fused blocks across all regions (0 under
-   [cfg.superops = false]); tests assert invalidation drops them. *)
-let fused_block_count t =
-  List.fold_left (fun acc rc -> acc + Array.length rc.r_bops) 0 t.regions
+   front instead of on the first [run] after a snapshot load. *)
+let prewarm t = sync_ops t
 
 (* Threaded-code trampoline. Statistics and the budget decrement happen
    here, before the op runs (the fault path refunds the faulting
@@ -1388,10 +712,6 @@ let fused_block_count t =
    engine's ordering: an exit taken on the very slot that exhausts the
    budget wins over [X_fuel]. *)
 let run_threaded ?(fuel = max_int) t ~entry : exit =
-  t.rthreshold <-
-    (match t.ctx.cfg.engine with
-    | Config.Region -> t.ctx.cfg.region_threshold
-    | Config.Threaded | Config.Matched -> max_int);
   sync_ops t;
   if entry < 0 || entry >= t.ops_len then
     invalid_arg "exec_acc: entry is not a translated slot";
@@ -1440,8 +760,6 @@ let tmpl_of t s insn =
 let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
   let tc = t.ctx.tc in
   let budget = ref fuel in
-  (* sink-attached runs must stay slot-granular: no region promotion *)
-  t.rthreshold <- max_int;
   (* the cache does not change while this loop runs *)
   if Option.is_some sink then Tcache.Acc.sync_shadow tc t.tmpls;
   (match Tcache.Acc.frag_of_entry tc entry with
@@ -1584,5 +902,5 @@ let run ?sink ?(fuel = max_int) t ~entry : exit =
   | Some _ -> run_instrumented ?sink ~fuel t ~entry
   | None -> (
     match t.ctx.cfg.engine with
-    | Config.Threaded | Config.Region -> run_threaded ~fuel t ~entry
+    | Config.Threaded -> run_threaded ~fuel t ~entry
     | Config.Matched -> run_instrumented ~fuel t ~entry)

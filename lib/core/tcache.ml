@@ -33,13 +33,6 @@ type frag = {
   mutable v_bytes : int; (* static V-ISA bytes covered *)
   mutable i_bytes : int; (* static translated bytes *)
   mutable exec_count : int; (* times entered *)
-  mutable region_state : int;
-  (* region tier-up bookkeeping, owned by the execution engines and never
-     persisted: 0 = slot-granular, 1 = promoted (a region closure is
-     installed at [entry_slot]), 2 = promotion declined (too cold to
-     retry, or the entry already sits inside another live region). Frag
-     records are rebuilt on flush and restore, so the state dies with the
-     generation it described. *)
   cat_count : int array; (* per-Usage.category static node counts *)
 }
 
@@ -108,8 +101,7 @@ struct
       strand_start = Vec.create ~dummy:false;
       frags = Vec.create ~dummy:{
         id = -1; entry_slot = 0; v_start = 0; n_slots = 0; v_insns = 0;
-        v_bytes = 0; i_bytes = 0; exec_count = 0; region_state = 0;
-        cat_count = [||] };
+        v_bytes = 0; i_bytes = 0; exec_count = 0; cat_count = [||] };
       entry_ix = Vec.create ~dummy:(-1);
       next_entry = -1;
       patch_log = Vec.create ~dummy:0;
@@ -233,7 +225,6 @@ struct
         v_bytes = 0;
         i_bytes = 0;
         exec_count = 0;
-        region_state = 0;
         cat_count = Array.make n_categories 0;
       }
     in

@@ -40,8 +40,6 @@ type seg_stats = {
   mutable fuel_stops : int;
   mutable flushes : int;
   mutable capacity_flushes : int;  (* flushes forced by tcache_max_slots *)
-  mutable region_invalidations : int;  (* promoted regions killed by those *)
-  mutable fused_invalidations : int;  (* fused blocks killed by those *)
 }
 
 type t = {
@@ -85,8 +83,7 @@ let create_cold ?annotate ~cfg ~kind prog =
     segs =
       { branch_exits = 0; pal_exits = 0; dispatch_misses = 0;
         trap_recoveries = 0; fuel_stops = 0; flushes = 0;
-        capacity_flushes = 0; region_invalidations = 0;
-        fused_invalidations = 0 };
+        capacity_flushes = 0 };
     last_seg = None }
 
 let cost t =
@@ -138,11 +135,9 @@ let dual_ras t =
 
 (* Capacity policy (Dynamo-style): a bounded translation cache is flushed
    wholesale the moment a translation pushes it past the configured slot
-   budget — fragments, promoted regions and fused blocks all die together
-   and the VM rebuilds from the interpreter's profile. Checked after each
-   translation (between VM steps, where a flush is safe). The invalidation
-   counts are recorded here, at flush time, because the dead regions/fused
-   blocks are no longer observable once [flush] returns. *)
+   budget — every fragment and chain patch dies together and the VM
+   rebuilds from the interpreter's profile. Checked after each translation
+   (between VM steps, where a flush is safe). *)
 let capacity_flush_check t =
   if t.cfg.tcache_max_slots < max_int then begin
     let slots =
@@ -151,16 +146,7 @@ let capacity_flush_check t =
       | B_straight (ctx, _) -> Tcache.Straight.n_slots ctx.tc
     in
     if slots > t.cfg.tcache_max_slots then begin
-      let regions, fused =
-        match t.backend with
-        | B_acc (_, ex) ->
-          (Exec_acc.region_count ex, Exec_acc.fused_block_count ex)
-        | B_straight (_, ex) ->
-          (Exec_straight.region_count ex, Exec_straight.fused_block_count ex)
-      in
       t.segs.capacity_flushes <- t.segs.capacity_flushes + 1;
-      t.segs.region_invalidations <- t.segs.region_invalidations + regions;
-      t.segs.fused_invalidations <- t.segs.fused_invalidations + fused;
       flush t
     end
   end
@@ -320,10 +306,12 @@ let run ?sink ?boundary ?(fuel = max_int) t : outcome =
           Hashtbl.replace t.counters pc c;
           if c >= t.cfg.hot_threshold then begin
             let before = t.interp.icount in
+            (* formation interprets, so it must not outrun the budget *)
             let sb, stop =
               Superblock.form
                 ~on_step:(interp_ras_update t)
-                ~interp:t.interp ~max_size:t.cfg.max_superblock
+                ~interp:t.interp
+                ~max_size:(Int.min t.cfg.max_superblock t.fuel)
                 ~is_translated:
                   (if t.cfg.stop_at_translated then is_translated t
                    else fun _ -> false)
@@ -335,6 +323,10 @@ let run ?sink ?boundary ?(fuel = max_int) t : outcome =
             Cost.tick_interp (cost t) (formed * Cost.interp_step);
             (cost t).interp_insns <- (cost t).interp_insns + formed;
             (match stop with
+            | Superblock.Stop_end when t.fuel <= 0 ->
+              (* formation spent the last of the fuel, and may have been
+                 cut short by it: a truncated trace is not a superblock *)
+              ()
             | Superblock.Stop_end ->
               translate t sb;
               capacity_flush_check t
@@ -364,16 +356,6 @@ let acc_exec t =
 let straight_exec t =
   match t.backend with B_straight (_, ex) -> Some ex | B_acc _ -> None
 
-let region_count t =
-  match t.backend with
-  | B_acc (_, ex) -> Exec_acc.region_count ex
-  | B_straight (_, ex) -> Exec_straight.region_count ex
-
-let fused_block_count t =
-  match t.backend with
-  | B_acc (_, ex) -> Exec_acc.fused_block_count ex
-  | B_straight (_, ex) -> Exec_straight.fused_block_count ex
-
 let acc_ctx t =
   match t.backend with B_acc (ctx, _) -> Some ctx | B_straight _ -> None
 
@@ -399,8 +381,6 @@ let c_seg_trap = Obs.counter "vm.seg.trap_recoveries"
 let c_seg_fuel = Obs.counter "vm.seg.fuel_stops"
 let c_flushes = Obs.counter "vm.flushes"
 let c_capacity_flushes = Obs.counter "vm.capacity_flushes"
-let c_region_invalidations = Obs.counter "vm.flush.region_invalidations"
-let c_fused_invalidations = Obs.counter "vm.flush.fused_invalidations"
 let c_cost_xunits = Obs.counter "cost.translate_units"
 let c_cost_iunits = Obs.counter "cost.interp_units"
 let c_cost_xinsns = Obs.counter "cost.translated_insns"
@@ -436,8 +416,6 @@ let publish_obs t =
     Obs.bump c_seg_fuel t.segs.fuel_stops;
     Obs.bump c_flushes t.segs.flushes;
     Obs.bump c_capacity_flushes t.segs.capacity_flushes;
-    Obs.bump c_region_invalidations t.segs.region_invalidations;
-    Obs.bump c_fused_invalidations t.segs.fused_invalidations;
     let cost = cost t in
     Obs.bump c_cost_xunits cost.Cost.translate_units;
     Obs.bump c_cost_iunits cost.Cost.interp_units;
@@ -524,8 +502,7 @@ let conv_frag (f : Tcache.frag) : Persist.Snapshot.frag =
 let unconv_frag (f : Persist.Snapshot.frag) : Tcache.frag =
   { id = f.f_id; entry_slot = f.f_entry_slot; v_start = f.f_v_start;
     n_slots = f.f_n_slots; v_insns = f.f_v_insns; v_bytes = f.f_v_bytes;
-    i_bytes = f.f_i_bytes; exec_count = 0; region_state = 0;
-    cat_count = Array.copy f.f_cat_count }
+    i_bytes = f.f_i_bytes; exec_count = 0; cat_count = Array.copy f.f_cat_count }
 
 let conv_exit : Exitr.reason -> Persist.Snapshot.exit_reason = function
   | Exitr.R_branch v -> X_branch v
@@ -544,7 +521,7 @@ let refill_vec v xs =
   Array.iter (Vec.push v) xs
 
 let build_cache ~slots ~frags ~peis ~exits ~slot_alpha ~slot_class
-    ~slot_cyc_ooo ~slot_cyc_ildp ~dispatch_slot ~unique_vpcs ~idioms :
+    ~slot_cyc_ooo ~slot_cyc_ildp ~dispatch_slot ~unique_vpcs :
     _ Persist.Snapshot.cache =
   {
     slots;
@@ -568,14 +545,13 @@ let build_cache ~slots ~frags ~peis ~exits ~slot_alpha ~slot_class
       Array.of_list
         (List.sort compare
            (Hashtbl.fold (fun k () acc -> k :: acc) unique_vpcs []));
-    idioms;
   }
 
 let save_snapshot t : Persist.Snapshot.t =
   Obs.bump c_persist_saves 1;
   let body =
     match t.backend with
-    | B_acc (ctx, ex) ->
+    | B_acc (ctx, _) ->
       let tc = ctx.Translate.tc in
       let n = Tcache.Acc.n_slots tc in
       let slots =
@@ -587,9 +563,8 @@ let save_snapshot t : Persist.Snapshot.t =
            ~peis:(Tcache.Acc.pei_list tc) ~exits:ctx.exits
            ~slot_alpha:ctx.slot_alpha ~slot_class:ctx.slot_class
            ~slot_cyc_ooo:ctx.slot_cyc_ooo ~slot_cyc_ildp:ctx.slot_cyc_ildp
-           ~dispatch_slot:ctx.dispatch_slot ~unique_vpcs:ctx.unique_vpcs
-           ~idioms:(Superop.encode_table (Exec_acc.idiom_table ex)))
-    | B_straight (ctx, ex) ->
+           ~dispatch_slot:ctx.dispatch_slot ~unique_vpcs:ctx.unique_vpcs)
+    | B_straight (ctx, _) ->
       let tc = ctx.Straighten.tc in
       let n = Tcache.Straight.n_slots tc in
       let slots =
@@ -601,8 +576,7 @@ let save_snapshot t : Persist.Snapshot.t =
            ~peis:(Tcache.Straight.pei_list tc) ~exits:ctx.exits
            ~slot_alpha:ctx.slot_alpha ~slot_class:ctx.slot_class
            ~slot_cyc_ooo:ctx.slot_cyc_ooo ~slot_cyc_ildp:ctx.slot_cyc_ildp
-           ~dispatch_slot:ctx.dispatch_slot ~unique_vpcs:ctx.unique_vpcs
-           ~idioms:(Superop.encode_table (Exec_straight.idiom_table ex)))
+           ~dispatch_slot:ctx.dispatch_slot ~unique_vpcs:ctx.unique_vpcs)
   in
   { fingerprint = fingerprint t; body }
 
@@ -638,21 +612,7 @@ let check_cache (c : _ Persist.Snapshot.cache) =
         reject "PEI slot %d out of range [0, %d)" p.p_slot n)
     c.peis;
   if c.dispatch_slot < 0 || c.dispatch_slot >= n then
-    reject "dispatch slot %d out of range [0, %d)" c.dispatch_slot n;
-  if Option.is_none (Superop.decode_table c.idioms) then
-    reject
-      "idiom table is malformed (unknown shape code, bad n-gram length, or \
-       negative weight)"
-
-(* The persisted idiom table (validated above) installed on the engine
-   before prewarm, so warm-start region promotion fuses with the profile's
-   idioms instead of re-mining from restored-but-never-executed fragments
-   (whose live exec counts are all zero). An empty table means the save-side
-   cache had nothing hot; the engine then mines on demand as usual. *)
-let restore_idioms set ex (c : _ Persist.Snapshot.cache) =
-  match Superop.decode_table c.idioms with
-  | Some tbl when Array.length tbl > 0 -> set ex tbl
-  | _ -> ()
+    reject "dispatch slot %d out of range [0, %d)" c.dispatch_slot n
 
 let restore_peis (c : _ Persist.Snapshot.cache) =
   Array.to_list
@@ -686,22 +646,6 @@ let reinstall_dispatch t (c : _ Persist.Snapshot.cache) ~prewarm_top =
   done;
   n
 
-(* Under the Region engine, a warm start promotes from the snapshot's
-   hotness profile: every fragment whose persisted execution count crossed
-   the region threshold is region-compiled at load time (hottest first, so
-   overlap resolution favors the hottest loops) — the restored live
-   [exec_count] stays 0 as always. *)
-let hot_region_entries t (c : _ Persist.Snapshot.cache) =
-  if t.cfg.engine <> Config.Region then []
-  else
-    Array.to_list c.frags
-    |> List.filter (fun (f : Persist.Snapshot.frag) ->
-           f.f_exec_count >= t.cfg.region_threshold)
-    |> List.sort
-         (fun (a : Persist.Snapshot.frag) (b : Persist.Snapshot.frag) ->
-           compare (b.f_exec_count, a.f_id) (a.f_exec_count, b.f_id))
-    |> List.map (fun (f : Persist.Snapshot.frag) -> f.f_entry_slot)
-
 let load_snapshot t ~prewarm_top (snap : Persist.Snapshot.t) =
   let want = fingerprint t in
   (match Persist.Snapshot.fingerprint_mismatches ~got:snap.fingerprint ~want with
@@ -722,11 +666,8 @@ let load_snapshot t ~prewarm_top (snap : Persist.Snapshot.t) =
       Hashtbl.reset ctx.unique_vpcs;
       Array.iter (fun v -> Hashtbl.replace ctx.unique_vpcs v ()) c.unique_vpcs;
       let n = reinstall_dispatch t c ~prewarm_top in
-      restore_idioms Exec_acc.set_idiom_table ex c;
       (match t.cfg.engine with
       | Config.Threaded -> Exec_acc.prewarm ex
-      | Config.Region ->
-        Exec_acc.prewarm ~hot_entries:(hot_region_entries t c) ex
       | Config.Matched -> ());
       (n, Array.length c.slots)
     | B_straight (ctx, ex), Persist.Snapshot.B_straight c ->
@@ -742,11 +683,8 @@ let load_snapshot t ~prewarm_top (snap : Persist.Snapshot.t) =
       Hashtbl.reset ctx.unique_vpcs;
       Array.iter (fun v -> Hashtbl.replace ctx.unique_vpcs v ()) c.unique_vpcs;
       let n = reinstall_dispatch t c ~prewarm_top in
-      restore_idioms Exec_straight.set_idiom_table ex c;
       (match t.cfg.engine with
       | Config.Threaded -> Exec_straight.prewarm ex
-      | Config.Region ->
-        Exec_straight.prewarm ~hot_entries:(hot_region_entries t c) ex
       | Config.Matched -> ());
       (n, Array.length c.slots)
     | _ ->

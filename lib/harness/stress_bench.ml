@@ -2,11 +2,9 @@
    DBT under configurations chosen to let each arm hit its target, and
    the row records translator-health telemetry proving it did:
 
-   - flush-storm runs under the region engine with superop fusion on, an
-     aggressive promotion threshold, and a small translation-cache bound
-     — so phase migration drives the cache past capacity repeatedly and
-     each capacity flush kills live regions and fused blocks
-     (capacity_flushes / region_invalidations / fused_invalidations);
+   - flush-storm runs under the threaded engine with a small
+     translation-cache bound — so phase migration drives the cache past
+     capacity repeatedly (capacity_flushes);
    - megamorphic runs under the threaded engine — its ever-changing
      indirect-jump targets defeat software target prediction, ballooning
      the chain-class instruction share and dispatch misses versus the
@@ -28,8 +26,6 @@ type row = {
   s_secs : float;
   s_flushes : int;
   s_capacity_flushes : int;
-  s_region_invalidations : int;
-  s_fused_invalidations : int;
   s_dispatch_misses : int;
   s_chain_share : float;  (* chain-class I-ISA instructions / i_exec *)
   s_dras_hits : int;
@@ -64,8 +60,8 @@ let arm_spec arm ~scale =
     match arm with
     | Stress.Flush_storm ->
       { Core.Config.default with
-        engine = Core.Config.Region; superops = true; region_threshold = 4;
-        hot_threshold; tcache_max_slots = flush_cap }
+        engine = Core.Config.Threaded; hot_threshold;
+        tcache_max_slots = flush_cap }
     | Stress.Megamorphic | Stress.Call_tower ->
       { Core.Config.default with engine = Core.Config.Threaded; hot_threshold }
   in
@@ -121,8 +117,6 @@ let run_spec ~name ~fuel { prog; cfg } =
     s_secs = secs;
     s_flushes = segs.flushes;
     s_capacity_flushes = segs.capacity_flushes;
-    s_region_invalidations = segs.region_invalidations;
-    s_fused_invalidations = segs.fused_invalidations;
     s_dispatch_misses = segs.dispatch_misses;
     s_chain_share =
       float_of_int st.by_class.(2) /. float_of_int (max 1 st.i_exec);
@@ -158,8 +152,7 @@ let find_arm s name = List.find (fun r -> r.s_name = name) s.arms
 let target_met s = function
   | Stress.Flush_storm ->
     let r = find_arm s "flush-storm" in
-    r.s_capacity_flushes > 0 && r.s_region_invalidations > 0
-    && r.s_fused_invalidations > 0
+    r.s_capacity_flushes > 0
   | Stress.Megamorphic ->
     let r = find_arm s "megamorphic" in
     r.s_chain_share >= 4.0 *. s.reference.s_chain_share
@@ -179,16 +172,12 @@ let render fmt s =
   Format.fprintf fmt
     "Adversarial stress (telemetry vs the gzip reference, \
      interpreter-verified)@.";
-  Format.fprintf fmt "%-12s %9s %6s %6s %6s %7s %7s %8s %9s %7s  %s@." "arm"
-    "retired" "slots" "flush" "capfl" "reginv" "fusinv" "chain%" "overflow"
-    "ras%" "check";
+  Format.fprintf fmt "%-12s %9s %6s %6s %6s %8s %9s %7s  %s@." "arm" "retired"
+    "slots" "flush" "capfl" "chain%" "overflow" "ras%" "check";
   List.iter
     (fun r ->
-      Format.fprintf fmt
-        "%-12s %9d %6d %6d %6d %7d %7d %7.1f%% %9d %6.1f%%  %s@." r.s_name
-        r.s_retired r.s_slots r.s_flushes r.s_capacity_flushes
-        r.s_region_invalidations
-        r.s_fused_invalidations
+      Format.fprintf fmt "%-12s %9d %6d %6d %6d %7.1f%% %9d %6.1f%%  %s@."
+        r.s_name r.s_retired r.s_slots r.s_flushes r.s_capacity_flushes
         (100.0 *. r.s_chain_share)
         r.s_dras_overflows
         (100.0 *. r.s_dras_hit_rate)
@@ -213,8 +202,6 @@ let json_of_row r =
       ("secs", J.Float r.s_secs);
       ("flushes", J.Int r.s_flushes);
       ("capacity_flushes", J.Int r.s_capacity_flushes);
-      ("region_invalidations", J.Int r.s_region_invalidations);
-      ("fused_invalidations", J.Int r.s_fused_invalidations);
       ("dispatch_misses", J.Int r.s_dispatch_misses);
       ("chain_share", J.Float r.s_chain_share);
       ("dras_hits", J.Int r.s_dras_hits);

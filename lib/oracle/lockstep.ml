@@ -128,17 +128,9 @@ let fragment_at vm i_pc =
                 Alpha.Disasm.to_string (Core.Tcache.Straight.get ctx.tc s)))
     | None, None -> None
 
-let run ?(granularity = Boundary) ?(threaded = false) ?(region = false)
-    ?(superops = false) ?(flush_every = 0) ?(fuel = 50_000_000)
-    ?(hot_threshold = 10) ?(tcache_max_slots = max_int) ?(warm_start = false)
-    ?corrupt ~mode prog =
-  (* [superops] subsumes [region] (fusion only happens at region promote)
-     and [region] subsumes [threaded]: all run sink-less so the VM takes a
-     non-instrumented engine. [region] alone pins cfg.superops off so the
-     slot-granular tier-2 arm stays covered even though the config default
-     is fused. *)
-  let region = region || superops in
-  let threaded = threaded || region in
+let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
+    ?(fuel = 50_000_000) ?(hot_threshold = 10) ?(tcache_max_slots = max_int)
+    ?(warm_start = false) ?corrupt ~mode prog =
   (* per-instruction comparison is unsound mid-fragment for accumulator
      backends (deferred state copies); restrict it to straightened code.
      The threaded-code engine emits no events at all, so under [threaded]
@@ -152,13 +144,7 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(region = false)
   let cfg =
     { Core.Config.default with
       isa = mode.isa; chaining = mode.chaining; fuse_mem = mode.fuse_mem;
-      hot_threshold; tcache_max_slots;
-      engine = (if region then Core.Config.Region else Core.Config.Threaded);
-      superops;
-      (* aggressive promotion so oracle-sized programs actually tier up;
-         exercises region compile/run/invalidate on nearly every seed *)
-      region_threshold = (if region then 4 else Core.Config.default.region_threshold)
-    }
+      hot_threshold; tcache_max_slots }
   in
   (* Warm start under test: run a throwaway VM of the same configuration
      cold to completion, snapshot its translation cache, push the snapshot

@@ -32,15 +32,18 @@ type fingerprint = {
   fp_max_superblock : int;
   fp_stop_at_translated : bool;
   fp_fuse_mem : bool;
-  fp_region_threshold : int;
-  fp_region_max_slots : int;
-  fp_superops : bool;
   fp_tcache_max_slots : int;
   fp_image_digest : string;  (** hex MD5 of the program image + entry *)
 }
 
 val fingerprint_mismatches : got:fingerprint -> want:fingerprint -> string list
 (** Human-readable field-by-field differences, empty when compatible. *)
+
+val fingerprint_bytes : fingerprint -> string
+(** The fingerprint's binary encoding, exactly as it opens a snapshot
+    payload: every field, in format order. Equal fingerprints give equal
+    strings and different ones different strings, so a digest of it can
+    key anything that must tell configurations apart. *)
 
 type frag = {
   f_id : int;
@@ -71,11 +74,6 @@ type 'insn cache = {
       (** per-slot static cycle cost under the ILDP model *)
   dispatch_slot : int;
   unique_vpcs : int array;  (** sorted, for deterministic encodings *)
-  idioms : (int array * int) array;
-      (** ranked superop idiom table, hottest first: (shape-code n-gram,
-          dynamic weight) rows as produced by [Core.Superop.encode_table].
-          Codes are validated at load by [Core.Vm]; empty means "mine on
-          demand". *)
 }
 
 type body =
@@ -85,7 +83,8 @@ type body =
 type t = { fingerprint : fingerprint; body : body }
 
 val version : int
-(** Current container version; bumped whenever any encoding changes. *)
+(** Current container version (6); bumped whenever any encoding changes.
+    A snapshot of any other version is rejected. *)
 
 val to_string : t -> string
 val of_string : string -> t

@@ -43,18 +43,13 @@ let create ?dir () =
     disk_loads = 0;
   }
 
-(* Spill filename: image digest (already hex MD5) plus a digest of every
-   other fingerprint field, so distinct configurations of one image never
-   collide and the name stays filesystem-safe. *)
+(* Spill filename: image digest (already hex MD5) plus a digest of the
+   whole fingerprint's binary encoding, so distinct configurations of one
+   image never collide — a field added to the fingerprint is covered
+   without touching this — and the name stays filesystem-safe. *)
 let spill_name (fp : Persist.Snapshot.fingerprint) =
-  let cfg_tag =
-    Printf.sprintf "%s/%s/%s/%s/%d/%d/%d/%b/%b/%d/%d/%b" fp.fp_backend
-      fp.fp_isa fp.fp_chaining fp.fp_engine fp.fp_n_accs fp.fp_hot_threshold
-      fp.fp_max_superblock fp.fp_stop_at_translated fp.fp_fuse_mem
-      fp.fp_region_threshold fp.fp_region_max_slots fp.fp_superops
-  in
   Printf.sprintf "%s-%s.snap" fp.fp_image_digest
-    (Digest.to_hex (Digest.string cfg_tag))
+    (Digest.to_hex (Digest.string (Persist.Snapshot.fingerprint_bytes fp)))
 
 (* Called under [t.m]. A stale or corrupt spill file is treated as a
    miss (the caller builds and re-publishes over it), never an error. *)

@@ -10,7 +10,7 @@ open Machine
      cost of a fragment under both detailed models (Ooo and Ildp). The
      execution engines charge these costs in bulk exactly where they charge
      V-ISA retirement, which yields a cycle estimate for sink-less runs at
-     threaded/region speed — no events, no model feed;
+     threaded speed — no events, no model feed;
    - {!create} wraps a detailed model's [feed]/[boundary]/[cycles] as a
      sampling sink: each interval opens with a warm-up window that feeds
      the model to reheat its stale state, then a detail window whose

@@ -8,7 +8,7 @@
     - {!annotate} prices a fragment's straight-line event sequence once,
       at translation time, under both models; the execution engines then
       charge those static per-slot costs in bulk, giving a cycle estimate
-      at threaded/region speed with no event stream at all;
+      at threaded speed with no event stream at all;
     - the sampling controller wraps a live model as a drop-in
       [feed]/[boundary] sink but forwards only a warm-up + detail window
       out of every interval, back-charging the skipped remainder at the

@@ -725,6 +725,33 @@ let test_tcache_shadow () =
   push ();
   expect "a new generation empties every slot" [ "-"; "-" ]
 
+(* ---------- fuel stops ---------- *)
+
+(* Superblock formation interprets, so it must stop with the fuel. Each
+   of these stops lands inside a formation that would otherwise run on to
+   the superblock size limit (eon's by 46 instructions). Both backends,
+   both sink-less engines. *)
+let test_fuel_stop_inside_formation () =
+  List.iter
+    (fun (name, fuel) ->
+      let prog = Workloads.program ~scale:1 (Option.get (Workloads.find name)) in
+      List.iter
+        (fun (kind, kind_name) ->
+          List.iter
+            (fun engine ->
+              let what =
+                Printf.sprintf "%s fuel %d %s %s" name fuel kind_name
+                  (Config.engine_name engine)
+              in
+              let cfg = { Config.default with engine } in
+              let vm = Vm.create ~cfg ~kind prog in
+              check Alcotest.bool (what ^ ": out of fuel") true
+                (Vm.run ~fuel vm = Vm.Out_of_fuel);
+              check Alcotest.int (what ^ ": fuel left") 0 vm.fuel)
+            [ Config.Matched; Config.Threaded ])
+        [ (Vm.Acc, "acc"); (Vm.Straight_only, "straight") ])
+    [ ("eon", 19143); ("crafty", 17779); ("vortex", 14963); ("vortex", 19751) ]
+
 let suite =
   [
     ("superblock formed for hot loop", `Quick, test_superblock_formed);
@@ -744,4 +771,5 @@ let suite =
     ("Vm.create allocates under 1 MiB", `Quick, test_create_allocation);
     ("VMs on two domains leave the zero chunk zero", `Quick, test_cross_domain_zero_chunk);
     ("tcache slot shadow follows patches and flushes", `Quick, test_tcache_shadow);
+    ("fuel stop inside superblock formation", `Quick, test_fuel_stop_inside_formation);
   ]

@@ -79,6 +79,46 @@ let test_registry_first_publish_wins () =
     check Alcotest.bool "second publish ignored" true (s == snap)
   | Registry.Build -> Alcotest.fail "published fingerprint must warm-start"
 
+(* Spill files are named by the whole fingerprint: two configurations of
+   one image that differ only in the cache capacity bound land in two
+   files, and a registry restarted on the directory warm-starts both. *)
+let test_registry_spill_per_fingerprint () =
+  let snap cfg =
+    let vm = Core.Vm.create ~cfg ~kind:Core.Vm.Acc (prog ()) in
+    ignore (Core.Vm.run ~fuel:200_000 vm : Core.Vm.outcome);
+    Core.Vm.save_snapshot vm
+  in
+  let snaps =
+    [ snap Core.Config.default;
+      snap { Core.Config.default with tcache_max_slots = 100_000 } ]
+  in
+  let dir = Filename.temp_dir "ildp_registry" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let reg = Registry.create ~dir () in
+      List.iter
+        (fun (s : Persist.Snapshot.t) ->
+          ignore (Registry.acquire reg s.fingerprint : Registry.admission);
+          Registry.publish reg s)
+        snaps;
+      check Alcotest.int "one spill file per fingerprint" 2
+        (Array.length (Sys.readdir dir));
+      let fresh = Registry.create ~dir () in
+      List.iteri
+        (fun i (s : Persist.Snapshot.t) ->
+          match Registry.acquire fresh s.fingerprint with
+          | Registry.Warm w ->
+            check Alcotest.bool
+              (Printf.sprintf "config %d warm from its own file" i)
+              true
+              (w.Persist.Snapshot.fingerprint = s.fingerprint)
+          | Registry.Build ->
+            Alcotest.failf "config %d: restarted registry asked for a build" i)
+        snaps)
+
 (* ---------- Daemon: warm-start correctness ---------- *)
 
 let ample = { Daemon.q_fuel = max_int / 2; q_image_bytes = max_int }
@@ -264,6 +304,8 @@ let suite =
     ("registry: abandon hands the build off", `Quick,
      test_registry_abandon_hands_off);
     ("registry: first publish wins", `Quick, test_registry_first_publish_wins);
+    ("registry: one spill file per fingerprint", `Quick,
+     test_registry_spill_per_fingerprint);
     ("daemon: one build, warm sessions identical", `Quick,
      test_daemon_single_flight_sessions);
     ("daemon: quota exceeded mid-run is clean + exact", `Quick,

@@ -1,7 +1,7 @@
 (* Tests for the adversarial stress generators: determinism of the
    generator itself, each arm demonstrably provoking the translator
-   mechanism it targets (capacity flushes with region/fused-block
-   invalidation, chaining collapse, dual-RAS overflow), and full lockstep
+   mechanism it targets (capacity flushes, chaining collapse, dual-RAS
+   overflow), and full lockstep
    agreement with the golden interpreter for every arm under all 11
    backend/ISA/chaining modes. *)
 
@@ -57,26 +57,17 @@ let chain_share vm =
   let st = stats vm in
   float_of_int st.by_class.(2) /. float_of_int (max 1 st.i_exec)
 
-(* Flush storm under a bounded cache on the fused region engine: phase
-   migration must force capacity flushes, each killing live regions and
-   fused blocks. *)
+(* Flush storm under a bounded cache on the threaded engine: phase
+   migration must force capacity flushes. *)
 let test_flush_storm () =
   let prog = Gen.assemble (Stress.single ~iters:256 Stress.Flush_storm ~seed:7) in
-  let cfg =
-    { Core.Config.default with
-      engine = Core.Config.Region; superops = true; region_threshold = 4;
-      hot_threshold = 10; tcache_max_slots = 128 }
-  in
+  let cfg = { threaded_cfg with tcache_max_slots = 128 } in
   let vm = run_vm ~cfg prog in
   let segs = vm.Core.Vm.segs in
   check Alcotest.bool "capacity flushes fired" true
     (segs.Core.Vm.capacity_flushes > 0);
   check Alcotest.bool "flushes recorded" true
-    (segs.Core.Vm.flushes >= segs.Core.Vm.capacity_flushes);
-  check Alcotest.bool "regions invalidated" true
-    (segs.Core.Vm.region_invalidations > 0);
-  check Alcotest.bool "fused blocks invalidated" true
-    (segs.Core.Vm.fused_invalidations > 0)
+    (segs.Core.Vm.flushes >= segs.Core.Vm.capacity_flushes)
 
 (* Unbounded cache: the same program must never flush — the counter is
    specific to the capacity policy, not flushing in general. *)
@@ -145,14 +136,14 @@ let test_lockstep_all_modes () =
         Lockstep.all_modes)
     Stress.all_arms
 
-(* The fused region tier through a capacity flush, under lockstep: the
+(* The threaded engine through a capacity flush, under lockstep: the
    exact scenario the flush-storm bench runs, verified architecturally. *)
-let test_lockstep_flush_storm_superops () =
+let test_lockstep_flush_storm_threaded () =
   let prog = Gen.assemble (Stress.single ~iters:256 Stress.Flush_storm ~seed:7) in
   let mode = List.hd Lockstep.all_modes in
   let c =
-    agree "flush-storm superops capped"
-      (Lockstep.run ~superops:true ~tcache_max_slots:128 ~mode prog)
+    agree "flush-storm threaded capped"
+      (Lockstep.run ~threaded:true ~tcache_max_slots:128 ~mode prog)
   in
   check Alcotest.bool "flushes observed under lockstep" true
     (c.Lockstep.flushes > 0)
@@ -169,5 +160,5 @@ let suite =
     Alcotest.test_case "lockstep agreement, all arms x all modes" `Slow
       test_lockstep_all_modes;
     Alcotest.test_case "lockstep flush-storm through fused tier" `Quick
-      test_lockstep_flush_storm_superops;
+      test_lockstep_flush_storm_threaded;
   ]

@@ -374,9 +374,7 @@ let test_fastfwd_static_cycles_engines_agree () =
       let matched = st Core.Config.Matched in
       check Alcotest.bool "static cycles positive" true (matched > 0);
       check Alcotest.int "threaded agrees with matched" matched
-        (st Core.Config.Threaded);
-      check Alcotest.int "region agrees with matched" matched
-        (st Core.Config.Region))
+        (st Core.Config.Threaded))
     [ Core.Vm.Acc; Core.Vm.Straight_only ]
 
 let sampled_fig2 ~interval =
