@@ -387,8 +387,9 @@ let cmd =
   in
   let threaded =
     Arg.(value & flag & info [ "threaded" ]
-           ~doc:"Run the VM sink-less so translated execution takes the \
-                 threaded-code engine (boundary granularity only).")
+           ~doc:"Run the VM on the threaded-code engine without an event \
+                 sink (boundary granularity only). Without it the VM runs \
+                 on the matched engine with a sink.")
   in
   let stress =
     Arg.(value & flag & info [ "stress" ]

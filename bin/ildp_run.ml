@@ -52,13 +52,6 @@ let show_outcome buf = function
 let run_one buf src scale isa chaining n_accs engine interp_only straight ildp
     ooo n_pe comm sample disasm fuel save_cache load_cache =
   let prog = load_program src scale in
-  let isa = if isa = "basic" then Core.Config.Basic else Core.Config.Modified in
-  let chaining =
-    match chaining with
-    | "no_pred" -> Core.Config.No_pred
-    | "sw_pred" -> Core.Config.Sw_pred_no_ras
-    | _ -> Core.Config.Sw_pred_ras
-  in
   if interp_only then begin
     let st = Alpha.Interp.create prog in
     let m = if ooo then Some (Uarch.Ooo.create ()) else None in
@@ -253,12 +246,29 @@ let cmd =
   in
   let scale = Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Workload scale.") in
   let isa =
-    Arg.(value & opt string "modified" & info [ "isa" ]
+    let isas =
+      List.map
+        (fun i -> (Core.Config.isa_name i, i))
+        [ Core.Config.Basic; Core.Config.Modified ]
+    in
+    Arg.(value & opt (enum isas) Core.Config.Modified & info [ "isa" ]
            ~doc:"Target I-ISA: basic or modified.")
   in
   let chaining =
-    Arg.(value & opt string "sw_pred_ras" & info [ "chaining" ]
-           ~doc:"Chaining: no_pred, sw_pred or sw_pred_ras.")
+    (* sw_pred and sw_pred_ras are older spellings, listed first: Cmdliner
+       shows a value by its last name, and that is the name reports print *)
+    let chainings =
+      [ ("sw_pred", Core.Config.Sw_pred_no_ras);
+        ("sw_pred_ras", Core.Config.Sw_pred_ras) ]
+      @ List.map
+          (fun c -> (Core.Config.chaining_name c, c))
+          [ Core.Config.No_pred; Core.Config.Sw_pred_no_ras;
+            Core.Config.Sw_pred_ras ]
+    in
+    Arg.(value & opt (enum chainings) Core.Config.Sw_pred_ras
+         & info [ "chaining" ]
+             ~doc:"Chaining: no_pred, sw_pred.no_ras (also sw_pred) or \
+                   sw_pred.ras (also sw_pred_ras).")
   in
   let n_accs = Arg.(value & opt int 4 & info [ "accs" ] ~doc:"Logical accumulators.") in
   let engine =
@@ -268,7 +278,7 @@ let cmd =
         [ Core.Config.Threaded; Core.Config.Matched ]
     in
     Arg.(value & opt (enum engines) Core.Config.Threaded & info [ "engine" ]
-           ~doc:"Sink-less execution engine: threaded or matched.")
+           ~doc:"Execution engine: threaded or matched.")
   in
   let interp = Arg.(value & flag & info [ "interp" ] ~doc:"Interpret only (no DBT).") in
   let straight =

@@ -12,14 +12,12 @@ type isa = Basic | Modified
      dual-address hardware RAS for returns (the paper's baseline). *)
 type chaining = No_pred | Sw_pred_no_ras | Sw_pred_ras
 
-(* Translated-code execution engine:
+(* Translated-code execution engine, for timed and untimed runs alike:
    - [Threaded]: direct-threaded code — every cache slot is compiled into a
-     specialized closure at first use and [run] is a tight trampoline. No
-     per-instruction events, so it is the functional-mode (sink-less) path;
-   - [Matched]: the instrumented variant-match engine. Attaching a timing
-     sink always selects it regardless of this field, since only it emits
-     per-instruction events; forcing it here gives a sink-free baseline for
-     throughput comparisons. *)
+     specialized closure at first use and [run] is a tight trampoline; a
+     second trampoline emits each slot's event under a timing sink;
+   - [Matched]: the instrumented variant-match engine, the reference and
+     the throughput baseline. Both engines emit identical events. *)
 type engine = Threaded | Matched
 
 type t = {
@@ -40,7 +38,7 @@ type t = {
      on fetch and reorder buffer mechanisms"). Default off (Section 2.1's
      addressing modes perform no computation). *)
   engine : engine;
-  (* execution engine for sink-less translated execution; see {!engine} *)
+  (* execution engine for translated code; see {!engine} *)
   tcache_max_slots : int;
   (* translation-cache capacity in I-ISA slots. When a translation pushes
      the cache past this bound the VM flushes everything Dynamo-style

@@ -12,13 +12,14 @@ type isa = Basic | Modified
       dual-address hardware RAS for returns (the paper's baseline). *)
 type chaining = No_pred | Sw_pred_no_ras | Sw_pred_ras
 
-(** Translated-code execution engine for sink-less (functional) runs:
+(** Translated-code execution engine, for timed and untimed runs alike:
     - [Threaded]: direct-threaded code — each cache slot compiled into a
-      specialized closure, executed by a tight trampoline (the default);
-    - [Matched]: the instrumented variant-match engine, also always used
-      when a timing sink is attached (it alone emits per-instruction
-      events). Forcing it here gives a sink-free throughput baseline and
-      the reference engine of the differential tests. *)
+      specialized closure, executed by a tight trampoline (the default).
+      With a timing sink attached, a second trampoline emits each slot's
+      event;
+    - [Matched]: the instrumented variant-match engine, with or without a
+      sink: the throughput baseline and the reference engine of the
+      differential tests. Both engines emit identical events. *)
 type engine = Threaded | Matched
 
 type t = {
@@ -36,8 +37,8 @@ type t = {
           splitting address computation — the Section 4.5 option.
           Default off. *)
   engine : engine;
-      (** execution engine for sink-less translated execution
-          (default [Threaded]). *)
+      (** execution engine for translated code, with or without a timing
+          sink (default [Threaded]). *)
   tcache_max_slots : int;
       (** translation-cache capacity in I-ISA slots: exceeding it after a
           translation triggers a Dynamo-style whole-cache flush (fragments,

@@ -11,23 +11,26 @@ module I = Accisa.Insn
    call-translator instruction (or a fuel bound) hands control back to the
    VM.
 
-   Two engines execute the same cache:
+   Two engines execute the same cache; {!Config.t.engine} picks one for
+   timed and untimed runs alike:
 
-   - the {e threaded-code} engine (default when no timing sink is
-     attached): every cache slot is compiled once into a specialized OCaml
-     closure — operand reads, the destination write and the ALU operation
-     are resolved to direct array accesses at compile time — and [run] is a
-     tight [(Array.unsafe_get ops slot) t] trampoline. A compiled op
-     returns the next slot index, or a negative exit sentinel (see
-     [ret_trap]/[ret_exit]);
-   - the {e instrumented} engine: a per-slot variant match that streams one
-     {!Machine.Ev.t} per committed instruction into the timing sink. It is
-     selected whenever a sink is attached (only it produces events), or
-     when {!Config.t.engine} forces [Matched].
+   - the {e threaded-code} engine (the default): every cache slot is
+     compiled once into a specialized OCaml closure — operand reads, the
+     destination write and the ALU operation are resolved to direct array
+     accesses at compile time — and [run] is a tight
+     [(Array.unsafe_get ops slot) t] trampoline. A compiled op returns the
+     next slot index, or a negative exit sentinel (see
+     [ret_trap]/[ret_exit]). With a timing sink attached, a second
+     trampoline emits one {!Machine.Ev.t} per executed slot: the slot's
+     template plus the effective address and taken flag the op stored in
+     [ev_ea]/[ev_taken];
+   - the {e instrumented} engine ([Matched]): a per-slot variant match,
+     with or without a sink. It is the reference engine of the
+     differential tests.
 
    Both engines maintain the same statistics record, execute the same
-   value functions, and are asserted byte-identical by the differential
-   tests and the lockstep oracle.
+   value functions, emit the same events, and are asserted byte-identical
+   by the differential tests and the lockstep oracle.
 
    Precise traps: a memory fault inside a fragment looks up the PEI table
    entry for the faulting slot, restores any architected values still live
@@ -67,6 +70,10 @@ type t = {
   mutable ops_gen : int; (* Tcache generation the compiled prefix shadows *)
   mutable patch_mark : int; (* patch-log entries already recompiled *)
   mutable budget : int; (* V-ISA retirement budget of the current run *)
+  mutable ev_ea : int; (* effective address of the last load or store op *)
+  mutable ev_taken : bool; (* the last control op transferred control *)
+  (* [ev_ea]/[ev_taken]: the dynamic event fields a compiled op leaves for
+     the sink trampoline; sink-less runs store them and never read them *)
   tmpls : Machine.Ev.t Tcache.Acc.shadow;
   (* per-slot static part of the slot's timing event, built on the slot's
      first commit under a sink; [Ev.default] until then *)
@@ -107,6 +114,8 @@ let create ctx interp =
     ops_gen = -1;
     patch_mark = 0;
     budget = 0;
+    ev_ea = 0;
+    ev_taken = false;
     tmpls = Tcache.Acc.shadow Machine.Ev.default;
   }
 
@@ -420,6 +429,7 @@ let compile t s : op =
           let addr =
             (Int64.to_int (Array.unsafe_get xb ib) + disp) land addr_mask
           in
+          t.ev_ea <- addr;
           if addr land amask <> 0 then faulted t s
           else (
             match ld addr with
@@ -433,6 +443,7 @@ let compile t s : op =
           let addr =
             (Int64.to_int (Array.unsafe_get xb ib) + disp) land addr_mask
           in
+          t.ev_ea <- addr;
           if addr land amask <> 0 then faulted t s
           else (
             match ld addr with
@@ -447,6 +458,7 @@ let compile t s : op =
           let addr =
             (Int64.to_int (Array.unsafe_get xb ib) + disp) land addr_mask
           in
+          t.ev_ea <- addr;
           if addr land amask <> 0 then faulted t s
           else (
             match ld addr with
@@ -460,6 +472,7 @@ let compile t s : op =
           let addr =
             (Int64.to_int (Array.unsafe_get xb ib) + disp) land addr_mask
           in
+          t.ev_ea <- addr;
           if addr land amask <> 0 then faulted t s
           else (
             match ld addr with
@@ -469,9 +482,12 @@ let compile t s : op =
         let addr = (Int64.to_int cb + disp) land addr_mask in
         let w = dst_fn t d in
         ignore shape;
-        if addr land amask <> 0 then fun t -> faulted t s
+        if addr land amask <> 0 then (fun t ->
+          t.ev_ea <- addr;
+          faulted t s)
         else
           fun t ->
+            t.ev_ea <- addr;
             (match ld addr with
             | v ->
               w v;
@@ -497,6 +513,7 @@ let compile t s : op =
           let addr =
             (Int64.to_int (Array.unsafe_get xb ib) + disp) land addr_mask
           in
+          t.ev_ea <- addr;
           if addr land amask <> 0 then faulted t s
           else (
             match st_ addr (Array.unsafe_get xv iv) with
@@ -507,6 +524,7 @@ let compile t s : op =
           let addr =
             (Int64.to_int (Array.unsafe_get xb ib) + disp) land addr_mask
           in
+          t.ev_ea <- addr;
           if addr land amask <> 0 then faulted t s
           else (
             match st_ addr cv with
@@ -519,9 +537,12 @@ let compile t s : op =
           | L_const v -> fun () -> v
         in
         let addr = (Int64.to_int cb + disp) land addr_mask in
-        if addr land amask <> 0 then fun t -> faulted t s
+        if addr land amask <> 0 then (fun t ->
+          t.ev_ea <- addr;
+          faulted t s)
         else
           fun t ->
+            t.ev_ea <- addr;
             (match st_ addr (gv ()) with
             | () -> next
             | exception Memory.Fault _ -> faulted t s))
@@ -547,9 +568,13 @@ let compile t s : op =
       match Tcache.Acc.frag_of_entry tc target with
       | Some f ->
         fun t ->
+          t.ev_taken <- true;
           enter_fragment t f;
           target
-      | None -> fun _ -> target)
+      | None ->
+        fun t ->
+          t.ev_taken <- true;
+          target)
     | I.Bc { cond; v; target } -> (
       check_static t ~slot:s target;
       let c = Alpha.Insn.cond_fn cond in
@@ -557,6 +582,7 @@ let compile t s : op =
       | Some f, L_arr (x, i) ->
         fun t ->
           if c (Array.unsafe_get x i) then begin
+            t.ev_taken <- true;
             enter_fragment t f;
             target
           end
@@ -565,17 +591,27 @@ let compile t s : op =
         let tk = c cv in
         fun t ->
           if tk then begin
+            t.ev_taken <- true;
             enter_fragment t f;
             target
           end
           else next
       | None, L_arr (x, i) ->
-        fun _ -> if c (Array.unsafe_get x i) then target else next
+        fun t ->
+          if c (Array.unsafe_get x i) then begin
+            t.ev_taken <- true;
+            target
+          end
+          else next
       | None, L_const cv ->
-        if c cv then fun _ -> target else fun _ -> next)
+        if c cv then (fun t ->
+          t.ev_taken <- true;
+          target)
+        else fun _ -> next)
     | I.Jmp_ind { v } ->
       let gv = src_fn t v in
       fun t ->
+        t.ev_taken <- true;
         let n = check_slot t (Int64.to_int (gv ())) in
         enter_dynamic t n;
         n
@@ -616,6 +652,7 @@ let compile t s : op =
         with
         | Some i ->
           st.ret_dras_hits <- st.ret_dras_hits + 1;
+          t.ev_taken <- true;
           let i = check_slot t i in
           enter_dynamic t i;
           i
@@ -640,7 +677,12 @@ let compile t s : op =
       let c = Alpha.Insn.cond_fn cond in
       let gv = src_fn t v in
       let code = ret_exit exit_id in
-      fun _ -> if c (gv ()) then code else next
+      fun t ->
+        if c (gv ()) then begin
+          t.ev_taken <- true;
+          code
+        end
+        else next
 
 let uncompiled_op : op = fun _ -> failwith "exec_acc: uncompiled slot"
 
@@ -736,10 +778,8 @@ let run_threaded ?(fuel = max_int) t ~entry : exit =
   in
   loop entry
 
-(* ---------- instrumented (match-based) engine ---------- *)
-
 (* The static part of slot [s]'s event, built on its first commit. *)
-let tmpl_of t s insn =
+let tmpl_of t s =
   let cells = t.tmpls.Tcache.Acc.cells in
   let tm = cells.(s) in
   if tm != t.tmpls.empty then tm
@@ -749,11 +789,57 @@ let tmpl_of t s insn =
       Accisa.Trace.ev
         ~strand_start:(Tcache.Acc.starts_strand tc s)
         ~alpha_count:(Vec.get t.ctx.slot_alpha s)
-        ~pc:(Tcache.Acc.addr_of tc s) ~ea:0 ~taken:false ~target:0 insn
+        ~pc:(Tcache.Acc.addr_of tc s) ~ea:0 ~taken:false ~target:0
+        (Tcache.Acc.get tc s)
     in
     cells.(s) <- tm;
     tm
   end
+
+(* [run_threaded] with a timing sink: the same accounting, fuel and exit
+   tests, plus one event per executed slot, emitted after its op as
+   [run_instrumented] does. The op leaves the event's dynamic fields in
+   [ev_ea]/[ev_taken]; an exit or trap sentinel reports the fall-through
+   address as its target. *)
+let run_threaded_sink ~sink ?(fuel = max_int) t ~entry : exit =
+  sync_ops t;
+  if entry < 0 || entry >= t.ops_len then
+    invalid_arg "exec_acc: entry is not a translated slot";
+  let tc = t.ctx.tc in
+  (* the cache does not change while this loop runs *)
+  Tcache.Acc.sync_shadow tc t.tmpls;
+  t.budget <- fuel;
+  enter_dynamic t entry;
+  let ops = t.ops and alphas = t.alphas and classes = t.classes in
+  let cycs = t.cycs in
+  let st = t.stats in
+  let by_class = st.by_class in
+  let rec loop slot =
+    st.i_exec <- st.i_exec + 1;
+    let cls = Array.unsafe_get classes slot in
+    Array.unsafe_set by_class cls (Array.unsafe_get by_class cls + 1);
+    let a = Array.unsafe_get alphas slot in
+    st.alpha_retired <- st.alpha_retired + a;
+    st.st_cycles <- st.st_cycles + Array.unsafe_get cycs slot;
+    t.budget <- t.budget - a;
+    t.ev_ea <- 0;
+    t.ev_taken <- false;
+    let n = (Array.unsafe_get ops slot) t in
+    let (tm : Machine.Ev.t) = tmpl_of t slot in
+    sink
+      {
+        tm with
+        ea = t.ev_ea;
+        taken = t.ev_taken;
+        target = (if n >= 0 then Tcache.Acc.addr_of tc n else tm.pc + 4);
+      };
+    if n >= 0 then if t.budget <= 0 then X_fuel else loop n
+    else if n = ret_trap then X_trap_recovered
+    else X_reason (Vec.get t.ctx.exits (-n - 2))
+  in
+  loop entry
+
+(* ---------- instrumented (match-based) engine ---------- *)
 
 (* Execute from [entry] (a slot) until a VM exit. [fuel] bounds the number
    of V-ISA instructions retired. *)
@@ -874,7 +960,7 @@ let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
       | None -> failwith "exec_acc: fault at a slot with no PEI entry"));
     (match sink with
     | Some (f : Machine.Ev.t -> unit) ->
-      let tm = tmpl_of t s insn in
+      let tm = tmpl_of t s in
       f
         {
           tm with
@@ -894,13 +980,12 @@ let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
 
 (* ---------- engine selection ---------- *)
 
-(* A timing sink needs per-instruction events, which only the instrumented
-   engine produces; sink-less runs take the threaded path unless the
-   configuration pins the match engine (throughput baselines). *)
+(* The configured engine runs timed and untimed execution alike; both
+   emit the same events under a sink. *)
 let run ?sink ?(fuel = max_int) t ~entry : exit =
-  match sink with
-  | Some _ -> run_instrumented ?sink ~fuel t ~entry
-  | None -> (
-    match t.ctx.cfg.engine with
-    | Config.Threaded -> run_threaded ~fuel t ~entry
-    | Config.Matched -> run_instrumented ~fuel t ~entry)
+  match t.ctx.cfg.engine with
+  | Config.Threaded -> (
+    match sink with
+    | None -> run_threaded ~fuel t ~entry
+    | Some sink -> run_threaded_sink ~sink ~fuel t ~entry)
+  | Config.Matched -> run_instrumented ?sink ~fuel t ~entry

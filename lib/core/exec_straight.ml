@@ -9,10 +9,11 @@ module A = Alpha.Insn
    register consumed by Jump hold absolute slot indices (see
    {!Straighten}).
 
-   Mirrors {!Exec_acc}: a threaded-code engine (slots compiled to
-   specialized closures, tight trampoline) for sink-less runs, and the
-   instrumented variant-match engine whenever a timing sink is attached or
-   {!Config.t.engine} forces [Matched]. *)
+   Mirrors {!Exec_acc}: {!Config.t.engine} picks the threaded-code engine
+   (slots compiled to specialized closures, tight trampoline; a second
+   trampoline emits events when a timing sink is attached) or the
+   instrumented variant-match engine ([Matched], the reference), for timed
+   and untimed runs alike. *)
 
 type stats = {
   mutable i_exec : int;
@@ -41,6 +42,8 @@ type t = {
   mutable ops_gen : int;
   mutable patch_mark : int;
   mutable budget : int;
+  mutable ev_ea : int; (* dynamic event fields, see Exec_acc *)
+  mutable ev_taken : bool;
   tmpls : Machine.Ev.t Tcache.Straight.shadow; (* see Exec_acc *)
 }
 
@@ -76,6 +79,8 @@ let create ctx interp =
     ops_gen = -1;
     patch_mark = 0;
     budget = 0;
+    ev_ea = 0;
+    ev_taken = false;
     tmpls = Tcache.Straight.shadow Machine.Ev.default;
   }
 
@@ -208,6 +213,7 @@ let compile t s : op =
           let addr =
             (Int64.to_int (Array.unsafe_get regs ib) + disp) land addr_mask
           in
+          t.ev_ea <- addr;
           if addr land amask <> 0 then faulted t s
           else (
             match ld addr with
@@ -230,6 +236,7 @@ let compile t s : op =
         in
         fun t ->
           let addr = (Int64.to_int (gb ()) + disp) land addr_mask in
+          t.ev_ea <- addr;
           if addr land amask <> 0 then faulted t s
           else (
             match ld addr with
@@ -257,6 +264,7 @@ let compile t s : op =
           let addr =
             (Int64.to_int (Array.unsafe_get regs ib) + disp) land addr_mask
           in
+          t.ev_ea <- addr;
           if addr land amask <> 0 then faulted t s
           else (
             match st_ addr (Array.unsafe_get regs iv) with
@@ -275,6 +283,7 @@ let compile t s : op =
         in
         fun t ->
           let addr = (Int64.to_int (gb ()) + disp) land addr_mask in
+          t.ev_ea <- addr;
           if addr land amask <> 0 then faulted t s
           else (
             match st_ addr (gv ()) with
@@ -322,9 +331,13 @@ let compile t s : op =
       match Tcache.Straight.frag_of_entry tc target with
       | Some f ->
         fun t ->
+          t.ev_taken <- true;
           enter_fragment t f;
           target
-      | None -> fun _ -> target)
+      | None ->
+        fun t ->
+          t.ev_taken <- true;
+          target)
     | A.Bc (c, ra, target) -> (
       check_static t ~slot:s target;
       let cf = Alpha.Insn.cond_fn c in
@@ -332,6 +345,7 @@ let compile t s : op =
       | Some f, L_reg ia ->
         fun t ->
           if cf (Array.unsafe_get regs ia) then begin
+            t.ev_taken <- true;
             enter_fragment t f;
             target
           end
@@ -340,16 +354,27 @@ let compile t s : op =
         let tk = cf cv in
         fun t ->
           if tk then begin
+            t.ev_taken <- true;
             enter_fragment t f;
             target
           end
           else next
       | None, L_reg ia ->
-        fun _ -> if cf (Array.unsafe_get regs ia) then target else next
-      | None, L_const cv -> if cf cv then fun _ -> target else fun _ -> next)
+        fun t ->
+          if cf (Array.unsafe_get regs ia) then begin
+            t.ev_taken <- true;
+            target
+          end
+          else next
+      | None, L_const cv ->
+        if cf cv then (fun t ->
+          t.ev_taken <- true;
+          target)
+        else fun _ -> next)
     | A.Jump (_, _, rb) ->
       let grb = get_fn t rb in
       fun t ->
+        t.ev_taken <- true;
         let n = check_slot t (Int64.to_int (grb ())) in
         enter_dynamic t n;
         n
@@ -384,6 +409,7 @@ let compile t s : op =
         with
         | Some i ->
           st.ret_dras_hits <- st.ret_dras_hits + 1;
+          t.ev_taken <- true;
           let i = check_slot t i in
           enter_dynamic t i;
           i
@@ -401,7 +427,12 @@ let compile t s : op =
       let cf = Alpha.Insn.cond_fn c in
       let gra = get_fn t ra in
       let code = ret_exit exit_id in
-      fun _ -> if cf (gra ()) then code else next
+      fun t ->
+        if cf (gra ()) then begin
+          t.ev_taken <- true;
+          code
+        end
+        else next
     | A.Bsr _ | A.Call_pal _ ->
       fun _ -> failwith "exec_straight: untranslatable instruction in cache"
 
@@ -488,10 +519,8 @@ let run_threaded ?(fuel = max_int) t ~entry : exit =
   in
   loop entry
 
-(* ---------- instrumented (match-based) engine ---------- *)
-
 (* The static part of slot [s]'s event, built on its first commit. *)
-let tmpl_of t ~pc s insn =
+let tmpl_of t ~pc s =
   let cells = t.tmpls.Tcache.Straight.cells in
   let tm = cells.(s) in
   if tm != t.tmpls.empty then tm
@@ -499,11 +528,55 @@ let tmpl_of t ~pc s insn =
     let tm =
       Alpha.Trace.ev_of_exec
         ~alpha_count:(Vec.get t.ctx.slot_alpha s)
-        ~pc ~insn ~taken:false ~target:0 ~ea:0 ()
+        ~pc ~insn:(Tcache.Straight.get t.ctx.tc s) ~taken:false ~target:0
+        ~ea:0 ()
     in
     cells.(s) <- tm;
     tm
   end
+
+(* [run_threaded] with a timing sink; see [Exec_acc.run_threaded_sink].
+   Every straightened slot is 4 bytes, so slot [n] sits at [base + 4n]. *)
+let run_threaded_sink ~sink ?(fuel = max_int) t ~entry : exit =
+  sync_ops t;
+  if entry < 0 || entry >= t.ops_len then
+    invalid_arg "exec_straight: entry is not a translated slot";
+  let tc = t.ctx.tc in
+  (* the cache does not change while this loop runs *)
+  Tcache.Straight.sync_shadow tc t.tmpls;
+  let base = Tcache.Straight.addr_of tc 0 in
+  t.budget <- fuel;
+  enter_dynamic t entry;
+  let ops = t.ops and alphas = t.alphas and classes = t.classes in
+  let cycs = t.cycs in
+  let st = t.stats in
+  let by_class = st.by_class in
+  let rec loop slot =
+    st.i_exec <- st.i_exec + 1;
+    let cls = Array.unsafe_get classes slot in
+    Array.unsafe_set by_class cls (Array.unsafe_get by_class cls + 1);
+    let a = Array.unsafe_get alphas slot in
+    st.alpha_retired <- st.alpha_retired + a;
+    st.st_cycles <- st.st_cycles + Array.unsafe_get cycs slot;
+    t.budget <- t.budget - a;
+    t.ev_ea <- 0;
+    t.ev_taken <- false;
+    let n = (Array.unsafe_get ops slot) t in
+    let (tm : Machine.Ev.t) = tmpl_of t ~pc:(base + (4 * slot)) slot in
+    sink
+      {
+        tm with
+        ea = t.ev_ea;
+        taken = t.ev_taken;
+        target = (if n >= 0 then base + (4 * n) else tm.pc + 4);
+      };
+    if n >= 0 then if t.budget <= 0 then X_fuel else loop n
+    else if n = ret_trap then X_trap_recovered
+    else X_reason (Vec.get t.ctx.exits (-n - 2))
+  in
+  loop entry
+
+(* ---------- instrumented (match-based) engine ---------- *)
 
 let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
   let tc = t.ctx.tc in
@@ -625,7 +698,7 @@ let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
     (match sink with
     | Some (f : Machine.Ev.t -> unit) ->
       let base = Tcache.Straight.addr_of tc 0 in
-      let tm = tmpl_of t ~pc:(base + (4 * s)) s insn in
+      let tm = tmpl_of t ~pc:(base + (4 * s)) s in
       f
         {
           tm with
@@ -646,9 +719,9 @@ let run_instrumented ?sink ?(fuel = max_int) t ~entry : exit =
 (* ---------- engine selection (see Exec_acc) ---------- *)
 
 let run ?sink ?(fuel = max_int) t ~entry : exit =
-  match sink with
-  | Some _ -> run_instrumented ?sink ~fuel t ~entry
-  | None -> (
-    match t.ctx.cfg.engine with
-    | Config.Threaded -> run_threaded ~fuel t ~entry
-    | Config.Matched -> run_instrumented ~fuel t ~entry)
+  match t.ctx.cfg.engine with
+  | Config.Threaded -> (
+    match sink with
+    | None -> run_threaded ~fuel t ~entry
+    | Some sink -> run_threaded_sink ~sink ~fuel t ~entry)
+  | Config.Matched -> run_instrumented ?sink ~fuel t ~entry

@@ -133,18 +133,22 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
     ?(warm_start = false) ?corrupt ~mode prog =
   (* per-instruction comparison is unsound mid-fragment for accumulator
      backends (deferred state copies); restrict it to straightened code.
-     The threaded-code engine emits no events at all, so under [threaded]
-     everything degrades to boundary granularity. *)
+     A [threaded] run attaches no sink, so it degrades to boundary
+     granularity too. *)
   let granularity =
     match mode.kind with
     | Core.Vm.Acc -> Boundary
     | Core.Vm.Straight_only -> if threaded then Boundary else granularity
   in
   let golden = Alpha.Interp.create prog in
+  (* the engine is named, not inherited from [Config.default]: the
+     plain and warm-start arms check the matched engine under a sink, the
+     [threaded] arm the threaded engine without one *)
   let cfg =
     { Core.Config.default with
       isa = mode.isa; chaining = mode.chaining; fuse_mem = mode.fuse_mem;
-      hot_threshold; tcache_max_slots }
+      hot_threshold; tcache_max_slots;
+      engine = (if threaded then Core.Config.Threaded else Core.Config.Matched) }
   in
   (* Warm start under test: run a throwaway VM of the same configuration
      cold to completion, snapshot its translation cache, push the snapshot
@@ -246,8 +250,8 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
     | Per_insn | Boundary -> ()
   in
   try
-    (* [threaded] runs sink-less so the VM takes the threaded-code engine:
-       the oracle then validates that engine, at the cost of losing the
+    (* [threaded] runs sink-less on the threaded-code engine: the oracle
+       then validates that engine, at the cost of losing the
        fragment-disassembly context in divergence reports *)
     let sink = if threaded then None else Some sink in
     let outcome = Core.Vm.run ?sink ~boundary ~fuel vm in

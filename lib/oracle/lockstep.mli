@@ -82,12 +82,14 @@ val run :
   Alpha.Program.t ->
   result
 (** Execute [prog] under [mode] with the reference in lockstep.
-    [threaded] (default false) runs the VM without an event sink so
-    translated execution takes the threaded-code engine — the oracle then
-    validates that engine instead of the instrumented one, at the cost of
-    per-instruction granularity and fragment-disassembly context in
-    divergence reports. [flush_every] > 0 injects a {!Core.Vm.flush}
-    every that many segment boundaries (default 0 = never).
+    [threaded] (default false) runs the VM on the threaded-code engine
+    without an event sink — the oracle then validates that engine instead
+    of the instrumented one, at the cost of per-instruction granularity
+    and fragment-disassembly context in divergence reports. Otherwise the
+    VM runs on the [Matched] engine with a sink attached, whatever
+    {!Core.Config.default} selects. [flush_every] > 0 injects a
+    {!Core.Vm.flush} every that many segment boundaries (default 0 =
+    never).
     [hot_threshold] defaults to 10 so short programs reach translated
     code. [tcache_max_slots] (default unbounded) bounds the translation
     cache, so capacity-policy flushes run under lockstep verification

@@ -126,8 +126,8 @@ let fetch_line t pc =
   end
 
 (* Least-loaded PE: fewest in-flight by last-issue horizon, with steered
-   counts as tie-break. *)
-let least_loaded t =
+   counts as tie-break, then the lowest PE number. *)
+let least_loaded_scan t =
   let best = ref 0 in
   for pe = 1 to t.p.n_pe - 1 do
     if
@@ -137,6 +137,32 @@ let least_loaded t =
     then best := pe
   done;
   !best
+
+(* The same order as packed keys [last_issue lsl 36 lor count lsl 4 lor pe]
+   under a branch-free minimum: the scan's comparisons are unpredictable
+   branches. A key needs the PE number in 4 bits, the count in 32 and the
+   issue cycle in 26 (62 bits); no issue cycle exceeds [last_commit] and
+   no count exceeds [n], so past those bounds the scan decides. *)
+let least_loaded t =
+  let n_pe = t.p.n_pe in
+  if n_pe > 16 || t.last_commit >= 1 lsl 26 || t.n >= 1 lsl 31 then
+    least_loaded_scan t
+  else begin
+    let issue = t.pe_last_issue and count = t.pe_count in
+    let best = ref ((issue.(0) lsl 36) lor (count.(0) lsl 4)) in
+    for pe = 1 to n_pe - 1 do
+      let k =
+        (Array.unsafe_get issue pe lsl 36)
+        lor (Array.unsafe_get count pe lsl 4)
+        lor pe
+      in
+      (* keys are below 2^62, so [d] cannot overflow and its sign is
+         bit 62 *)
+      let d = k - !best in
+      best := !best + (d land (d asr 62))
+    done;
+    !best land 15
+  end
 
 (* Steering for a strand-starting instruction: accumulator renaming prefers
    the PE that produced a GPR source value (the strand's input stays local,
@@ -204,9 +230,12 @@ let feed t (ev : Ev.t) =
       (Int.max (t.rob_ring.(rob_slot) + 1) (fifo.(fifo_slot) + 1))
   in
   (* ---- operand readiness (communication latency for remote GPRs) ---- *)
-  let r = ready t pe ev.src1 (ready t pe ev.src2 (ready t pe ev.src3 (d + 1))) in
   let r0 =
     ready_local t ev.src1 (ready_local t ev.src2 (ready_local t ev.src3 (d + 1)))
+  in
+  let r =
+    if t.p.comm = 0 then r0
+    else ready t pe ev.src1 (ready t pe ev.src2 (ready t pe ev.src3 (d + 1)))
   in
   (* ---- in-order single-issue per PE ---- *)
   let issue = Int.max r (t.pe_last_issue.(pe) + 1) in

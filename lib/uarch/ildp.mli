@@ -60,6 +60,12 @@ type t = {
 val create : ?params:params -> ?use_ras:bool -> unit -> t
 val feed : t -> Machine.Ev.t -> unit
 
+val least_loaded : t -> int
+(** The least-loaded PE, where steering sends accumulator-less
+    instructions and new strands without a preferred producer PE: the
+    lowest last-issue cycle, then the fewest steered instructions, then
+    the lowest PE number. *)
+
 val warm : t -> Machine.Ev.t -> unit
 (** Functional warming: update the long-lived history state (caches,
     branch predictor, steering map) without simulating cycles. A sampling

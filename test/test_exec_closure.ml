@@ -3,9 +3,9 @@
    identical to the instrumented match engine: same architected state,
    same statistics, same segment accounting — across every
    backend/ISA/chaining mode, across cache flushes, and through trap/PEI
-   repair. A final case checks that attaching a sink forces the
-   instrumented engine regardless of the configured one (identical event
-   streams). *)
+   repair. A final case attaches a sink to both engines: the threaded
+   one must run its compiled closures and emit the matched engine's
+   event stream exactly. *)
 
 open Oracle
 
@@ -27,6 +27,7 @@ type obs = {
   superblocks : int;
   segs : int * int * int * int * int;
   flushes : int;
+  compiled : int; (* closure-compiled slots; 0 on the matched engine *)
 }
 
 let show o =
@@ -65,7 +66,7 @@ let run_vm ~engine ?(flush_every = 0) ?sink ~(mode : Lockstep.mode) prog : obs
     | Core.Vm.Fault tr -> Format.asprintf "trap:%a" Alpha.Interp.pp_trap tr
     | Core.Vm.Out_of_fuel -> "fuel"
   in
-  let i_exec, by_class, alpha, frag_enters, dras_hits, dras_misses =
+  let i_exec, by_class, alpha, frag_enters, dras_hits, dras_misses, compiled =
     match (Core.Vm.acc_exec vm, Core.Vm.straight_exec vm) with
     | Some ex, _ ->
       ( ex.stats.i_exec,
@@ -73,14 +74,16 @@ let run_vm ~engine ?(flush_every = 0) ?sink ~(mode : Lockstep.mode) prog : obs
         ex.stats.alpha_retired,
         ex.stats.frag_enters,
         ex.stats.ret_dras_hits,
-        ex.stats.ret_dras_misses )
+        ex.stats.ret_dras_misses,
+        ex.ops_len )
     | None, Some ex ->
       ( ex.stats.i_exec,
         Array.copy ex.stats.by_class,
         ex.stats.alpha_retired,
         ex.stats.frag_enters,
         ex.stats.ret_dras_hits,
-        ex.stats.ret_dras_misses )
+        ex.stats.ret_dras_misses,
+        ex.ops_len )
     | None, None -> assert false
   in
   {
@@ -102,6 +105,7 @@ let run_vm ~engine ?(flush_every = 0) ?sink ~(mode : Lockstep.mode) prog : obs
         vm.segs.trap_recoveries,
         vm.segs.fuel_stops );
     flushes = vm.segs.flushes;
+    compiled;
   }
 
 let check_engines name ?flush_every ~mode prog =
@@ -180,15 +184,15 @@ let trap_modes =
       m.chaining = Core.Config.Sw_pred_ras && not m.fuse_mem)
     Lockstep.all_modes
 
+let trap_cases =
+  [
+    ("unaligned load", "  addq t9, fp, t10\n  ldq t1, 0(t10)");
+    ("unaligned store", "  addq t9, fp, t10\n  stq t0, 0(t10)");
+    ("unmapped load", "  sll t9, 23, t10\n  addq t10, fp, t10\n  ldq t1, 0(t10)");
+    ("unmapped store", "  sll t9, 23, t10\n  addq t10, fp, t10\n  stq t0, 0(t10)");
+  ]
+
 let test_trap_repair_identical () =
-  let cases =
-    [
-      ("unaligned load", "  addq t9, fp, t10\n  ldq t1, 0(t10)");
-      ("unaligned store", "  addq t9, fp, t10\n  stq t0, 0(t10)");
-      ("unmapped load", "  sll t9, 23, t10\n  addq t10, fp, t10\n  ldq t1, 0(t10)");
-      ("unmapped store", "  sll t9, 23, t10\n  addq t10, fp, t10\n  stq t0, 0(t10)");
-    ]
-  in
   List.iter
     (fun (what, body) ->
       let image = trap_image body in
@@ -202,33 +206,93 @@ let test_trap_repair_identical () =
           check Alcotest.bool (name ^ ": recovered via PEI") true
             (recoveries > 0))
         trap_modes)
-    cases
+    trap_cases
 
-(* ---------- a sink forces the instrumented engine ---------- *)
+(* ---------- timed runs: both engines emit the same events ---------- *)
 
-let test_sink_forces_instrumented () =
-  let prog = Gen.generate ~seed:3 in
-  let image = Gen.assemble prog in
-  let mode = List.hd trap_modes in
-  let record () =
-    let evs = ref [] in
-    let sink ev = evs := ev :: !evs in
-    let o = run_vm ~engine:Core.Config.Threaded ~sink ~mode image in
-    (o, List.rev !evs)
-  in
-  let o1, evs1 = record () in
-  let evs2 =
-    let evs = ref [] in
-    let sink ev = evs := ev :: !evs in
-    ignore (run_vm ~engine:Core.Config.Matched ~sink ~mode image);
-    List.rev !evs
-  in
-  check Alcotest.bool "sink-attached run emitted events" true (evs1 <> []);
-  check Alcotest.int "same event count under both engine settings"
-    (List.length evs2) (List.length evs1);
-  check Alcotest.bool "identical event streams" true (evs1 = evs2);
-  check Alcotest.int "events cover executed translated slots" o1.i_exec
-    (List.length evs1)
+let show_ev (e : Machine.Ev.t) =
+  Printf.sprintf "pc=%#x ea=%#x taken=%b target=%#x alpha=%d" e.pc e.ea e.taken
+    e.target e.alpha_count
+
+let record ~engine ?flush_every ~mode image =
+  let evs = ref [] in
+  let sink ev = evs := ev :: !evs in
+  let o = run_vm ~engine ?flush_every ~sink ~mode image in
+  (o, List.rev !evs)
+
+let check_events name ?flush_every ~mode image =
+  let ot, evt = record ~engine:Core.Config.Threaded ?flush_every ~mode image in
+  let om, evm = record ~engine:Core.Config.Matched ?flush_every ~mode image in
+  check Alcotest.string (name ^ ": state and statistics") (show om) (show ot);
+  check Alcotest.bool (name ^ ": threaded run compiled closures") true
+    (ot.compiled > 0);
+  check Alcotest.int (name ^ ": event count") (List.length evm)
+    (List.length evt);
+  check Alcotest.int (name ^ ": one event per executed slot") ot.i_exec
+    (List.length evt);
+  List.iteri
+    (fun i (m, t) ->
+      if m <> t then
+        Alcotest.failf "%s: event %d differs\n  matched  %s\n  threaded %s"
+          name i (show_ev m) (show_ev t))
+    (List.combine evm evt);
+  ot
+
+(* A hot call and return around a load and a store: returns verify
+   through the dual-address RAS, or through software prediction. The
+   branch to [rare] is taken once, after the loop is translated, so it
+   leaves the fragment through a taken conditional exit. *)
+let call_image =
+  Alpha.Assembler.assemble
+    {|
+  .text
+_start:
+  la fp, buf
+  ldiq t8, 60
+loop:
+  mov t8, a0
+  bsr ra, work
+  addq t0, v0, t0
+  cmpeq t8, 7, t2
+  bne t2, rare
+back:
+  subq t8, 1, t8
+  bne t8, loop
+  clr v0
+  call_pal 0
+rare:
+  addq t0, 1, t0
+  br back
+work:
+  stq a0, 0(fp)
+  ldq t1, 0(fp)
+  addq t1, t1, v0
+  ret
+  .data
+  .align 8
+buf:
+  .space 64
+|}
+
+let test_events_identical () =
+  let gen = Gen.assemble (Gen.generate ~seed:3) in
+  List.iter
+    (fun mode ->
+      let m = Lockstep.mode_name mode in
+      List.iter
+        (fun (what, body) ->
+          let name = what ^ " " ^ m in
+          let o = check_events name ~mode (trap_image body) in
+          let _, _, _, recoveries, _ = o.segs in
+          check Alcotest.bool (name ^ ": recovered via PEI") true
+            (recoveries > 0))
+        trap_cases;
+      let o = check_events ("call " ^ m) ~mode call_image in
+      if mode.chaining = Core.Config.Sw_pred_ras then
+        check Alcotest.bool (m ^ ": dual-RAS hits") true (o.dras_hits > 0);
+      ignore (check_events ("seed 3 " ^ m) ~mode gen);
+      ignore (check_events ("flush seed 3 " ^ m) ~flush_every:3 ~mode gen))
+    Lockstep.all_modes
 
 let suite =
   [
@@ -238,6 +302,6 @@ let suite =
       test_engines_agree_with_flush;
     Alcotest.test_case "trap/PEI repair identical" `Quick
       test_trap_repair_identical;
-    Alcotest.test_case "sink forces the instrumented engine" `Quick
-      test_sink_forces_instrumented;
+    Alcotest.test_case "threaded and matched engines emit identical events"
+      `Quick test_events_identical;
   ]

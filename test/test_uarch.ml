@@ -317,6 +317,63 @@ let test_end_to_end_more_pes_not_slower () =
   check Alcotest.bool (Printf.sprintf "8 PE >= 2 PE (%.2f >= %.2f)" p8 p2) true
     (p8 >= p2 *. 0.98)
 
+(* ---------- ILDP steering: packed-key minimum vs the scan ---------- *)
+
+(* The scan the model steered with before packed keys: lowest last-issue
+   cycle, then fewest steered instructions, then the lowest PE. *)
+let scan_least_loaded (m : Uarch.Ildp.t) =
+  let best = ref 0 in
+  for pe = 1 to m.p.n_pe - 1 do
+    if
+      m.pe_last_issue.(pe) < m.pe_last_issue.(!best)
+      || (m.pe_last_issue.(pe) = m.pe_last_issue.(!best)
+          && m.pe_count.(pe) < m.pe_count.(!best))
+    then best := pe
+  done;
+  !best
+
+(* Random PE states within the model's invariants (no issue cycle past
+   [last_commit], no count past [n]). Values come from pools of three so
+   that ties are common. Regime 0 stays inside the packed keys' bounds;
+   regimes 1 and 2 pass the [last_commit] and [n] guards, and up to 24
+   PEs pass the 16-PE guard. *)
+let gen_steer_state =
+  let open QCheck.Gen in
+  let* n_pe = int_range 1 24 in
+  let* regime = int_bound 2 in
+  let* last_commit =
+    if regime = 1 then int_range (1 lsl 26) (1 lsl 40)
+    else int_bound ((1 lsl 26) - 1)
+  in
+  let* n =
+    if regime = 2 then int_range (1 lsl 31) (1 lsl 40)
+    else int_bound ((1 lsl 31) - 1)
+  in
+  let* issue_pool = list_repeat 3 (int_bound last_commit) in
+  let* count_pool = list_repeat 3 (int_bound n) in
+  let* issues = array_repeat n_pe (oneofl issue_pool) in
+  let* counts = array_repeat n_pe (oneofl count_pool) in
+  return (last_commit, n, issues, counts)
+
+let show_steer_state (last_commit, n, issues, counts) =
+  let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "last_commit=%d n=%d issue=[%s] count=[%s]" last_commit n
+    (ints issues) (ints counts)
+
+let prop_least_loaded =
+  QCheck.Test.make ~name:"ildp: least_loaded equals the scan" ~count:1000
+    (QCheck.make ~print:show_steer_state gen_steer_state)
+    (fun (last_commit, n, issues, counts) ->
+      let n_pe = Array.length issues in
+      let m =
+        Uarch.Ildp.create ~params:{ Uarch.Ildp.default_params with n_pe } ()
+      in
+      Array.blit issues 0 m.pe_last_issue 0 n_pe;
+      Array.blit counts 0 m.pe_count 0 n_pe;
+      m.last_commit <- last_commit;
+      m.n <- n;
+      Uarch.Ildp.least_loaded m = scan_least_loaded m)
+
 (* ---------- fast-forward tier: static annotation + sampling ---------- *)
 
 let test_fastfwd_annotation_matches_models () =
@@ -548,6 +605,7 @@ let suite =
     ("ildp: strands spread over PEs", `Quick, test_ildp_parallel_strands);
     ("ildp: communication latency costs", `Quick, test_ildp_comm_latency_costs);
     ("ildp: boundary drains pipeline", `Quick, test_ildp_boundary_drains);
+    QCheck_alcotest.to_alcotest prop_least_loaded;
     ("pred: random cond branches mispredict", `Quick, test_pred_counts_cond_mispredicts);
     ("pred: nested RAS pairs", `Quick, test_pred_ras_nested);
     ("pred: outcome per prediction kind", `Quick, test_pred_outcome_table);
