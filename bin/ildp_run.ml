@@ -135,20 +135,19 @@ let run_one buf src scale isa chaining n_accs engine interp_only straight ildp
       load_cache;
     Printf.bprintf buf "interp insns   : %d\n" vm.interp_insns;
     Printf.bprintf buf "superblocks    : %d\n" vm.superblocks;
-    (match Core.Vm.acc_exec vm with
-    | Some ex ->
-      Printf.bprintf buf "I-ISA executed : %d (%d copy, %d chain)\n"
-        ex.stats.i_exec ex.stats.by_class.(1) ex.stats.by_class.(2);
-      Printf.bprintf buf "V-ISA in frags : %d\n" ex.stats.alpha_retired;
-      if ex.stats.alpha_retired > 0 then
+    let st = Core.Vm.engine_stats vm in
+    if straight then begin
+      Printf.bprintf buf "translated exec: %d\n" st.i_exec;
+      Printf.bprintf buf "V-ISA in frags : %d\n" st.alpha_retired
+    end
+    else begin
+      Printf.bprintf buf "I-ISA executed : %d (%d copy, %d chain)\n" st.i_exec
+        st.by_class.(1) st.by_class.(2);
+      Printf.bprintf buf "V-ISA in frags : %d\n" st.alpha_retired;
+      if st.alpha_retired > 0 then
         Printf.bprintf buf "expansion      : %.3f\n"
-          (float_of_int ex.stats.i_exec /. float_of_int ex.stats.alpha_retired)
-    | None -> ());
-    (match Core.Vm.straight_exec vm with
-    | Some ex ->
-      Printf.bprintf buf "translated exec: %d\n" ex.stats.i_exec;
-      Printf.bprintf buf "V-ISA in frags : %d\n" ex.stats.alpha_retired
-    | None -> ());
+          (float_of_int st.i_exec /. float_of_int st.alpha_retired)
+    end;
     (match Core.Vm.acc_ctx vm with
     | Some ctx ->
       Printf.bprintf buf "DBT work/insn  : %.0f\n"
@@ -238,6 +237,16 @@ let run srcs scale isa chaining n_accs engine interp_only straight ildp ooo
       Printf.printf "wrote %s\n" path)
     telemetry
 
+(* An integer option restricted to the values [ok] accepts: anything else
+   is a usage error (exit 124) whose message names the option. *)
+let int_where ok ~expected =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let cmd =
   let srcs =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"PROGRAM"
@@ -286,10 +295,21 @@ let cmd =
   in
   let ildp = Arg.(value & flag & info [ "ildp" ] ~doc:"Attach the ILDP timing model.") in
   let ooo = Arg.(value & flag & info [ "ooo" ] ~doc:"Attach the superscalar timing model.") in
-  let n_pe = Arg.(value & opt int 8 & info [ "pes" ] ~doc:"ILDP processing elements.") in
-  let comm = Arg.(value & opt int 0 & info [ "comm" ] ~doc:"ILDP communication latency.") in
+  let n_pe =
+    Arg.(value & opt (int_where (fun n -> n >= 1) ~expected:"an integer >= 1") 8
+         & info [ "pes" ] ~doc:"ILDP processing elements (at least 1).")
+  in
+  let comm =
+    Arg.(value & opt (int_where (fun n -> n >= 0) ~expected:"an integer >= 0") 0
+         & info [ "comm" ] ~doc:"ILDP communication latency (cycles, >= 0).")
+  in
   let sample =
-    Arg.(value & opt int 0 & info [ "sample-interval" ]
+    (* a nonzero interval must leave a fast window after the warm-up and
+       detail windows (Uarch.Fastfwd.create) *)
+    let windows = Uarch.Fastfwd.default_warmup + Uarch.Fastfwd.default_detail in
+    let expected = Printf.sprintf "0 or an integer above %d" windows in
+    Arg.(value & opt (int_where (fun n -> n = 0 || n > windows) ~expected) 0
+         & info [ "sample-interval" ]
            ~doc:"With --ildp: feed the timing model only a warm-up + detail \
                  window out of every $(docv) committed instructions and \
                  back-charge the rest at the measured rate. 0 (default) \

@@ -2,7 +2,7 @@ module Ev = Machine.Ev
 
 (* Conversion from executed I-ISA instructions to {!Machine.Ev.t} events.
 
-   The DBT execution engine (core.Exec_acc) builds each cache slot's event
+   The DBT execution engine (core.Engine) builds each cache slot's event
    once with [ev], passing what only it knows: the slot's byte address in
    the translation cache, whether it starts a strand, and how many V-ISA
    instructions it retires. Each commit copies that event with its dynamic

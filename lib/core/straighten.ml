@@ -31,9 +31,6 @@ type ctx = {
   cost : Cost.t;
   slot_alpha : int Vec.t;
   slot_class : int Vec.t; (* Translate.slot_class ids *)
-  slot_cyc_ooo : int Vec.t; (* static cycle cost per slot, Ooo model *)
-  slot_cyc_ildp : int Vec.t; (* static cycle cost per slot, Ildp model *)
-  annotate : Translate.annotator option;
   unique_vpcs : (int, unit) Hashtbl.t;
   mutable dispatch_slot : int;
   mutable n_chain : int;
@@ -45,8 +42,6 @@ let emit ?(alpha = 0) ctx cls insn =
   let slot = Tcache.Straight.push ctx.tc insn in
   Vec.push ctx.slot_alpha alpha;
   Vec.push ctx.slot_class (Translate.class_id cls);
-  Vec.push ctx.slot_cyc_ooo 0;
-  Vec.push ctx.slot_cyc_ildp 0;
   slot
 
 let hi_lo v =
@@ -108,7 +103,7 @@ let emit_dispatch ctx =
   ignore (e (A.Call_xlate exit_id));
   ctx.dispatch_slot <- first
 
-let create ?annotate cfg =
+let create cfg =
   let ctx =
     {
       cfg;
@@ -117,9 +112,6 @@ let create ?annotate cfg =
       cost = Cost.create ();
       slot_alpha = Vec.create ~dummy:0;
       slot_class = Vec.create ~dummy:0;
-      slot_cyc_ooo = Vec.create ~dummy:0;
-      slot_cyc_ildp = Vec.create ~dummy:0;
-      annotate;
       unique_vpcs = Hashtbl.create 1024;
       dispatch_slot = 0;
       n_chain = 0;
@@ -134,32 +126,8 @@ let flush ctx mem =
   Vec.clear ctx.exits;
   Vec.clear ctx.slot_alpha;
   Vec.clear ctx.slot_class;
-  Vec.clear ctx.slot_cyc_ooo;
-  Vec.clear ctx.slot_cyc_ildp;
   Memory.fill_zero mem ~addr:Translate.table_base ~len:Translate.table_bytes;
   emit_dispatch ctx
-
-(* Price a sealed fragment under both timing models (fast-forward tier;
-   cf. Translate.annotate_frag): straight-line replay, branches not-taken,
-   loads at a constant address. *)
-let annotate_frag ctx (frag : Tcache.frag) =
-  match ctx.annotate with
-  | None -> ()
-  | Some annotate ->
-    let evs =
-      Array.init frag.n_slots (fun k ->
-          let s = frag.entry_slot + k in
-          let insn = Tcache.Straight.get ctx.tc s in
-          let pc = Tcache.Straight.addr_of ctx.tc s in
-          Alpha.Trace.ev_of_exec
-            ~alpha_count:(Vec.get ctx.slot_alpha s)
-            ~pc ~insn ~taken:false ~target:(pc + 4) ~ea:0 ())
-    in
-    let ooo, ildp = annotate evs in
-    for k = 0 to frag.n_slots - 1 do
-      Vec.set ctx.slot_cyc_ooo (frag.entry_slot + k) ooo.(k);
-      Vec.set ctx.slot_cyc_ildp (frag.entry_slot + k) ildp.(k)
-    done
 
 exception Reserved_register of int
 
@@ -346,7 +314,6 @@ let translate ctx mem (sb : Superblock.t) =
       entries;
     if not !block_done then emit_uncond_exit ~v_target:v_continue ();
     Tcache.Straight.seal ctx.tc frag;
-    annotate_frag ctx frag;
     Obs.bump c_emitted frag.n_slots;
     Cost.tick ctx.cost (frag.n_slots * Cost.install_per_insn)
   end

@@ -64,6 +64,52 @@ let cat_index : Usage.category -> int = function
   | Comm_global -> 5
   | Liveout_global -> 6
 
+(* The part of a cache that does not depend on the instruction type, which
+   the execution engine and the VM read while they run: slot byte
+   addresses, the fragment table with its slot-indexed entry map, and the
+   V-address map. *)
+type index = {
+  addr : int Vec.t; (* byte address of each slot *)
+  frags : frag Vec.t;
+  entry_ix : int Vec.t;
+  (* per-slot fragment id when the slot is a fragment entry, -1 otherwise:
+     the O(1) entry map the execution engine probes on taken transfers *)
+  by_ventry : (int, int) Hashtbl.t; (* V-address -> entry slot *)
+}
+
+let lookup ix v_addr =
+  let r = Hashtbl.find_opt ix.by_ventry v_addr in
+  (match r with
+  | Some _ -> Obs.bump c_lookup_hits 1
+  | None -> Obs.bump c_lookup_misses 1);
+  r
+
+let is_translated ix v_addr = Hashtbl.mem ix.by_ventry v_addr
+
+let addr_at ix slot = Vec.get ix.addr slot
+
+(* O(1), allocation-free entry probe: fragment id of [slot] when it is a
+   fragment entry, -1 otherwise (including out-of-range slots). *)
+let frag_id_at ix slot =
+  if slot >= 0 && slot < Vec.length ix.entry_ix then Vec.get ix.entry_ix slot
+  else -1
+
+let frag_at ix id = Vec.get ix.frags id
+
+(* Per-slot values an engine derives from the cache on a slot's first use
+   (the timing-event templates). [sync_shadow] keeps one coherent with the
+   cache: a new generation empties every slot, a patch empties the patched
+   slot, and the array grows to cover every slot. An empty slot holds
+   [empty], told apart by physical equality. *)
+type 'a shadow = {
+  empty : 'a;
+  mutable cells : 'a array;
+  mutable shadow_gen : int;
+  mutable shadow_mark : int; (* patch-log entries already applied *)
+}
+
+let shadow empty = { empty; cells = [||]; shadow_gen = -1; shadow_mark = 0 }
+
 module Make (C : sig
   type insn
 
@@ -71,14 +117,12 @@ module Make (C : sig
   val dummy : insn
 end) =
 struct
+  type insn = C.insn
+
   type t = {
     code : C.insn Vec.t;
-    addr : int Vec.t; (* byte address of each slot *)
+    ix : index;
     strand_start : bool Vec.t; (* slot begins a new strand (ILDP steering) *)
-    frags : frag Vec.t;
-    entry_ix : int Vec.t;
-    (* per-slot fragment id when the slot is a fragment entry, -1 otherwise:
-       the O(1) entry map the execution engines probe on taken transfers *)
     mutable next_entry : int;
     (* fragment id to stamp on the next pushed slot ([install] always
        precedes the push of its entry slot), -1 when none is pending *)
@@ -86,7 +130,6 @@ struct
     mutable gen : int;
     (* generation, bumped by [clear]: compiled-code caches that shadow the
        slot array key their validity on it *)
-    by_ventry : (int, int) Hashtbl.t; (* V-address -> entry slot *)
     peis : (int, pei) Hashtbl.t; (* slot -> PEI record *)
     pending : (int, (int -> unit) list) Hashtbl.t;
     (* V-address -> patch closures to run when it gets translated *)
@@ -97,16 +140,19 @@ struct
   let create ?(base = 0x4000_0000) () =
     {
       code = Vec.create ~dummy:C.dummy;
-      addr = Vec.create ~dummy:0;
+      ix =
+        {
+          addr = Vec.create ~dummy:0;
+          frags = Vec.create ~dummy:{
+            id = -1; entry_slot = 0; v_start = 0; n_slots = 0; v_insns = 0;
+            v_bytes = 0; i_bytes = 0; exec_count = 0; cat_count = [||] };
+          entry_ix = Vec.create ~dummy:(-1);
+          by_ventry = Hashtbl.create 256;
+        };
       strand_start = Vec.create ~dummy:false;
-      frags = Vec.create ~dummy:{
-        id = -1; entry_slot = 0; v_start = 0; n_slots = 0; v_insns = 0;
-        v_bytes = 0; i_bytes = 0; exec_count = 0; cat_count = [||] };
-      entry_ix = Vec.create ~dummy:(-1);
       next_entry = -1;
       patch_log = Vec.create ~dummy:0;
       gen = 0;
-      by_ventry = Hashtbl.create 256;
       peis = Hashtbl.create 256;
       pending = Hashtbl.create 256;
       base;
@@ -115,21 +161,22 @@ struct
 
   let n_slots t = Vec.length t.code
   let generation t = t.gen
+  let index t = t.ix
 
   (* Append one instruction; returns its slot. *)
   let push ?(strand_start = false) t insn =
     let slot = Vec.length t.code in
     Vec.push t.code insn;
-    Vec.push t.addr t.next_addr;
+    Vec.push t.ix.addr t.next_addr;
     Vec.push t.strand_start strand_start;
-    Vec.push t.entry_ix t.next_entry;
+    Vec.push t.ix.entry_ix t.next_entry;
     t.next_entry <- -1;
     t.next_addr <- t.next_addr + C.bytes insn;
     Obs.set_max c_slots_hw (slot + 1);
     slot
 
   let get t slot = Vec.get t.code slot
-  let addr_of t slot = Vec.get t.addr slot
+  let addr_of t slot = addr_at t.ix slot
   let starts_strand t slot = Vec.get t.strand_start slot
 
   (* In-place patch. The byte layout is stable because every patch replaces
@@ -143,20 +190,6 @@ struct
 
   let patch_count t = Vec.length t.patch_log
   let patched_slot t i = Vec.get t.patch_log i
-
-  (* Per-slot values an engine derives from the cache on a slot's first
-     use (the timing-event templates). [sync_shadow] keeps one coherent
-     with the cache: a new generation empties every slot, a patch empties
-     the patched slot, and the array grows to cover every slot. An empty
-     slot holds [empty], told apart by physical equality. *)
-  type 'a shadow = {
-    empty : 'a;
-    mutable cells : 'a array;
-    mutable shadow_gen : int;
-    mutable shadow_mark : int; (* patch-log entries already applied *)
-  }
-
-  let shadow empty = { empty; cells = [||]; shadow_gen = -1; shadow_mark = 0 }
 
   let sync_shadow t sh =
     if sh.shadow_gen <> t.gen then begin
@@ -176,31 +209,16 @@ struct
     done;
     sh.shadow_mark <- m
 
-  let lookup t v_addr =
-    let r = Hashtbl.find_opt t.by_ventry v_addr in
-    (match r with
-    | Some _ -> Obs.bump c_lookup_hits 1
-    | None -> Obs.bump c_lookup_misses 1);
-    r
-
-  let is_translated t v_addr = Hashtbl.mem t.by_ventry v_addr
-
-  (* O(1), allocation-free entry probe: fragment id of [slot] when it is a
-     fragment entry, -1 otherwise (including out-of-range slots). *)
-  let frag_id_of_entry t slot =
-    if slot >= 0 && slot < Vec.length t.entry_ix then Vec.get t.entry_ix slot
-    else -1
-
-  let frag_by_id t id = Vec.get t.frags id
+  let lookup t v_addr = lookup t.ix v_addr
 
   let frag_of_entry t entry_slot =
-    let id = frag_id_of_entry t entry_slot in
-    if id >= 0 then Some (Vec.get t.frags id) else None
+    let id = frag_id_at t.ix entry_slot in
+    if id >= 0 then Some (frag_at t.ix id) else None
 
   (* Register a patch closure to run when [v_addr] gets translated; runs
      immediately if it already is. *)
   let on_translate t v_addr f =
-    match Hashtbl.find_opt t.by_ventry v_addr with
+    match Hashtbl.find_opt t.ix.by_ventry v_addr with
     | Some entry -> f entry
     | None ->
       let old = Option.value ~default:[] (Hashtbl.find_opt t.pending v_addr) in
@@ -217,7 +235,7 @@ struct
     assert (entry_slot = Vec.length t.code);
     let f =
       {
-        id = Vec.length t.frags;
+        id = Vec.length t.ix.frags;
         entry_slot;
         v_start;
         n_slots = 0;
@@ -228,10 +246,10 @@ struct
         cat_count = Array.make n_categories 0;
       }
     in
-    Vec.push t.frags f;
+    Vec.push t.ix.frags f;
     Obs.bump c_installs 1;
     Obs.set_max c_frags_hw (f.id + 1);
-    Hashtbl.replace t.by_ventry v_start entry_slot;
+    Hashtbl.replace t.ix.by_ventry v_start entry_slot;
     t.next_entry <- f.id;
     (match Hashtbl.find_opt t.pending v_start with
     | Some patches ->
@@ -256,17 +274,17 @@ struct
   let clear t =
     Obs.bump c_flushes 1;
     Vec.clear t.code;
-    Vec.clear t.addr;
+    Vec.clear t.ix.addr;
     Vec.clear t.strand_start;
-    Vec.clear t.frags;
-    Vec.clear t.entry_ix;
+    Vec.clear t.ix.frags;
+    Vec.clear t.ix.entry_ix;
     (* [reset], not [clear]: the patch log fills during a generation and
        empties here, so retaining its high-water capacity across repeated
        flush cycles would leak the largest generation's allocation forever *)
     Vec.reset t.patch_log;
     t.next_entry <- -1;
     t.gen <- t.gen + 1;
-    Hashtbl.reset t.by_ventry;
+    Hashtbl.reset t.ix.by_ventry;
     Hashtbl.reset t.peis;
     Hashtbl.reset t.pending;
     t.next_addr <- t.base
@@ -286,14 +304,14 @@ struct
      patch when the target translates again. *)
   let restore t ~code ~frags ~peis =
     Vec.clear t.code;
-    Vec.clear t.addr;
+    Vec.clear t.ix.addr;
     Vec.clear t.strand_start;
-    Vec.clear t.frags;
-    Vec.clear t.entry_ix;
+    Vec.clear t.ix.frags;
+    Vec.clear t.ix.entry_ix;
     Vec.reset t.patch_log;
     t.next_entry <- -1;
     t.gen <- t.gen + 1;
-    Hashtbl.reset t.by_ventry;
+    Hashtbl.reset t.ix.by_ventry;
     Hashtbl.reset t.peis;
     Hashtbl.reset t.pending;
     t.next_addr <- t.base;
@@ -302,15 +320,15 @@ struct
       code;
     Array.iter
       (fun (f : frag) ->
-        assert (f.id = Vec.length t.frags);
-        Vec.push t.frags f;
-        Hashtbl.replace t.by_ventry f.v_start f.entry_slot;
-        Vec.set t.entry_ix f.entry_slot f.id;
+        assert (f.id = Vec.length t.ix.frags);
+        Vec.push t.ix.frags f;
+        Hashtbl.replace t.ix.by_ventry f.v_start f.entry_slot;
+        Vec.set t.ix.entry_ix f.entry_slot f.id;
         Obs.set_max c_frags_hw (f.id + 1))
       frags;
     List.iter (fun (slot, p) -> Hashtbl.replace t.peis slot p) peis
 
-  let fragments t = Vec.to_list t.frags
+  let fragments t = Vec.to_list t.ix.frags
 
   (* Aggregate static translated bytes across all fragments. *)
   let total_i_bytes t =
@@ -318,6 +336,30 @@ struct
 
   let total_v_bytes t =
     List.fold_left (fun acc f -> acc + f.v_bytes) 0 (fragments t)
+end
+
+(* What the execution engine and the VM use of an instantiated cache. *)
+module type S = sig
+  type insn
+  type t
+
+  val n_slots : t -> int
+  val generation : t -> int
+  val index : t -> index
+  val get : t -> int -> insn
+  val starts_strand : t -> int -> bool
+  val patch_count : t -> int
+  val patched_slot : t -> int -> int
+  val sync_shadow : t -> 'a shadow -> unit
+  val frag_of_entry : t -> int -> frag option
+  val pei_at : t -> int -> pei option
+  val pei_list : t -> (int * pei) list
+  val fragments : t -> frag list
+  val total_i_bytes : t -> int
+
+  val restore :
+    t -> code:(insn * bool) array -> frags:frag array ->
+    peis:(int * pei) list -> unit
 end
 
 module Acc = Make (struct

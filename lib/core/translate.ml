@@ -47,12 +47,6 @@ type slot_class = C_core | C_copy | C_chain | C_prologue
 
 let class_id = function C_core -> 0 | C_copy -> 1 | C_chain -> 2 | C_prologue -> 3
 
-(* Static cycle pricer for the fast-forward timing tier: maps a fragment's
-   synthesized straight-line event sequence to its per-slot cycle cost
-   under (ooo, ildp). Injected by the VM (Uarch.Fastfwd.annotate in
-   practice) so [core] stays independent of the timing models. *)
-type annotator = Machine.Ev.t array -> int array * int array
-
 type ctx = {
   cfg : Config.t;
   tc : Tcache.Acc.t;
@@ -60,9 +54,6 @@ type ctx = {
   cost : Cost.t;
   slot_alpha : int Vec.t; (* V-ISA instructions retired by this slot *)
   slot_class : int Vec.t;
-  slot_cyc_ooo : int Vec.t; (* static cycle cost per slot, Ooo model *)
-  slot_cyc_ildp : int Vec.t; (* static cycle cost per slot, Ildp model *)
-  annotate : annotator option;
   unique_vpcs : (int, unit) Hashtbl.t; (* distinct V-addresses translated *)
   mutable dispatch_slot : int;
   mutable n_copy : int; (* state/spill/split copy instructions emitted *)
@@ -80,8 +71,6 @@ let emit ?(strand_start = false) ?(alpha = 0) ctx cls insn =
   let slot = Tcache.Acc.push ~strand_start ctx.tc insn in
   Vec.push ctx.slot_alpha alpha;
   Vec.push ctx.slot_class (class_id cls);
-  Vec.push ctx.slot_cyc_ooo 0;
-  Vec.push ctx.slot_cyc_ildp 0;
   slot
 
 (* ---------- shared dispatch code (paper Section 3.2) ----------
@@ -155,7 +144,7 @@ let emit_dispatch ctx =
   ignore (e (I.Call_xlate { exit_id }));
   ctx.dispatch_slot <- first
 
-let create ?annotate cfg =
+let create cfg =
   let ctx =
     {
       cfg;
@@ -164,9 +153,6 @@ let create ?annotate cfg =
       cost = Cost.create ();
       slot_alpha = Vec.create ~dummy:0;
       slot_class = Vec.create ~dummy:0;
-      slot_cyc_ooo = Vec.create ~dummy:0;
-      slot_cyc_ildp = Vec.create ~dummy:0;
-      annotate;
       unique_vpcs = Hashtbl.create 1024;
       dispatch_slot = 0;
       n_copy = 0;
@@ -191,40 +177,8 @@ let flush ctx mem =
   Vec.clear ctx.exits;
   Vec.clear ctx.slot_alpha;
   Vec.clear ctx.slot_class;
-  Vec.clear ctx.slot_cyc_ooo;
-  Vec.clear ctx.slot_cyc_ildp;
   Memory.fill_zero mem ~addr:table_base ~len:table_bytes;
   emit_dispatch ctx
-
-(* Price a sealed fragment's slots under both timing models (fast-forward
-   tier). The slots are replayed as a straight-line sequence: branches
-   not-taken with a fall-through target, loads at a constant address — the
-   warmed, well-predicted static cost. Mispredicts, cache misses and
-   inter-fragment effects stay dynamic corrections charged by the
-   execution engines. Later patches (call-translator -> direct branch)
-   keep the annotation computed here: both forms price as one
-   fall-through control slot. *)
-let annotate_frag ctx (frag : Tcache.frag) =
-  match ctx.annotate with
-  | None -> ()
-  | Some annotate ->
-    let evs =
-      Array.init frag.n_slots (fun k ->
-          let s = frag.entry_slot + k in
-          let insn = Tcache.Acc.get ctx.tc s in
-          let pc = Tcache.Acc.addr_of ctx.tc s in
-          Accisa.Trace.ev
-            ~strand_start:(Tcache.Acc.starts_strand ctx.tc s)
-            ~alpha_count:(Vec.get ctx.slot_alpha s)
-            ~pc ~ea:0 ~taken:false
-            ~target:(pc + Accisa.Size.bytes insn)
-            insn)
-    in
-    let ooo, ildp = annotate evs in
-    for k = 0 to frag.n_slots - 1 do
-      Vec.set ctx.slot_cyc_ooo (frag.entry_slot + k) ooo.(k);
-      Vec.set ctx.slot_cyc_ildp (frag.entry_slot + k) ildp.(k)
-    done
 
 (* ---------- per-superblock translation ---------- *)
 
@@ -854,7 +808,6 @@ let translate ctx mem (sb : Superblock.t) =
       nodes;
     if not !block_done then emit_uncond_exit ~v_target:v_continue ();
     Tcache.Acc.seal ctx.tc frag;
-    annotate_frag ctx frag;
     Obs.bump c_emitted frag.n_slots;
     Cost.tick ctx.cost (frag.n_slots * Cost.install_per_insn)
   end

@@ -17,9 +17,23 @@
 
 type kind = Acc | Straight_only
 
-type backend =
-  | B_acc of Translate.ctx * Exec_acc.t
-  | B_straight of Straighten.ctx * Exec_straight.t
+module Acc_engine = Engine.Make (Exec_acc)
+module Straight_engine = Engine.Make (Exec_straight)
+
+(* The VM's one engine: the instantiated engine module and its state. The
+   tag recovers the backend's own types where a caller needs them
+   ([acc_exec], [acc_ctx], [straight_ctx]); everything else is written
+   once against {!Engine.S}. *)
+type (_, _) tag =
+  | T_acc : (Translate.ctx, Exec_acc.regs) tag
+  | T_straight : (Straighten.ctx, Exec_straight.regs) tag
+
+type engine =
+  | E :
+      ('c, 'r) tag
+      * (module Engine.S with type ctx = 'c and type regs = 'r)
+      * ('c, 'r) Engine.t
+      -> engine
 
 (* How a translated-execution segment ended. Recorded just before the
    [boundary] callback fires, so boundary observers (timing models, the
@@ -46,7 +60,8 @@ type t = {
   cfg : Config.t;
   prog : Alpha.Program.t; (* retained for the snapshot image digest *)
   interp : Alpha.Interp.t;
-  backend : backend;
+  eng : engine;
+  cost : Cost.t; (* the translator's cost model *)
   counters : (int, int) Hashtbl.t;
   mutable fuel : int;
   mutable interp_insns : int; (* dynamically interpreted V-ISA instructions *)
@@ -63,22 +78,20 @@ let sp_reentry = Obs.span "interp_reentry"
 let sp_flush = Obs.span "flush"
 
 (* [create] proper lives below with the snapshot machinery (the [?snapshot]
-   path needs the save/restore helpers); this builds the cold state.
-   [?annotate] is the fast-forward tier's static cycle annotator
-   (typically [Uarch.Fastfwd.annotate]), injected as a closure so [Core]
-   never links against the timing models. *)
-let create_cold ?annotate ~cfg ~kind prog =
+   path needs the save/restore helpers); this builds the cold state. *)
+let create_cold ~cfg ~kind prog =
   let interp = Alpha.Interp.create prog in
-  let backend =
+  let eng =
     match kind with
     | Acc ->
-      let ctx = Translate.create ?annotate cfg in
-      B_acc (ctx, Exec_acc.create ctx interp)
+      E (T_acc, (module Acc_engine),
+         Acc_engine.create (Translate.create cfg) interp)
     | Straight_only ->
-      let ctx = Straighten.create ?annotate cfg in
-      B_straight (ctx, Exec_straight.create ctx interp)
+      E (T_straight, (module Straight_engine),
+         Straight_engine.create (Straighten.create cfg) interp)
   in
-  { cfg; prog; interp; backend; counters = Hashtbl.create 512; fuel = max_int;
+  let cost = match eng with E (_, (module X), e) -> X.cost e.ctx in
+  { cfg; prog; interp; eng; cost; counters = Hashtbl.create 512; fuel = max_int;
     interp_insns = 0; superblocks = 0;
     segs =
       { branch_exits = 0; pal_exits = 0; dispatch_misses = 0;
@@ -86,27 +99,21 @@ let create_cold ?annotate ~cfg ~kind prog =
         capacity_flushes = 0 };
     last_seg = None }
 
-let cost t =
-  match t.backend with
-  | B_acc (ctx, _) -> ctx.cost
-  | B_straight (ctx, _) -> ctx.cost
+let cost t = t.cost
+let is_translated t pc = match t.eng with E (_, _, e) -> Tcache.is_translated e.ix pc
+let entry_of t pc = match t.eng with E (_, _, e) -> Tcache.lookup e.ix pc
 
-let is_translated t pc =
-  match t.backend with
-  | B_acc (ctx, _) -> Tcache.Acc.is_translated ctx.tc pc
-  | B_straight (ctx, _) -> Tcache.Straight.is_translated ctx.tc pc
+let n_slots t = match t.eng with E (_, (module X), e) -> X.Tc.n_slots (X.tc e.ctx)
 
-let entry_of t pc =
-  match t.backend with
-  | B_acc (ctx, _) -> Tcache.Acc.lookup ctx.tc pc
-  | B_straight (ctx, _) -> Tcache.Straight.lookup ctx.tc pc
+(* The engine's statistics, for either backend. *)
+let engine_stats t = match t.eng with E (_, _, e) -> e.stats
+
+let dual_ras t = match t.eng with E (_, _, e) -> e.dras
 
 let translate t sb =
   t.superblocks <- t.superblocks + 1;
   Obs.with_span sp_translate (fun () ->
-      match t.backend with
-      | B_acc (ctx, _) -> Translate.translate ctx t.interp.mem sb
-      | B_straight (ctx, _) -> Straighten.translate ctx t.interp.mem sb)
+      match t.eng with E (_, (module X), e) -> X.translate e.ctx t.interp.mem sb)
 
 type outcome = Exit of int | Fault of Alpha.Interp.trap | Out_of_fuel
 
@@ -118,20 +125,12 @@ type outcome = Exit of int | Fault of Alpha.Interp.trap | Out_of_fuel
    translated code through fresh lookups). *)
 let flush t =
   Obs.with_span sp_flush (fun () ->
-      (match t.backend with
-      | B_acc (ctx, ex) ->
-        Translate.flush ctx t.interp.mem;
-        Machine.Dual_ras.clear ex.Exec_acc.dras
-      | B_straight (ctx, ex) ->
-        Straighten.flush ctx t.interp.mem;
-        Machine.Dual_ras.clear ex.Exec_straight.dras);
+      (match t.eng with
+      | E (_, (module X), e) ->
+        X.flush e.ctx t.interp.mem;
+        Machine.Dual_ras.clear e.dras);
       Hashtbl.reset t.counters;
       t.segs.flushes <- t.segs.flushes + 1)
-
-let dual_ras t =
-  match t.backend with
-  | B_acc (_, ex) -> ex.Exec_acc.dras
-  | B_straight (_, ex) -> ex.Exec_straight.dras
 
 (* Capacity policy (Dynamo-style): a bounded translation cache is flushed
    wholesale the moment a translation pushes it past the configured slot
@@ -140,12 +139,7 @@ let dual_ras t =
    (between VM steps, where a flush is safe). *)
 let capacity_flush_check t =
   if t.cfg.tcache_max_slots < max_int then begin
-    let slots =
-      match t.backend with
-      | B_acc (ctx, _) -> Tcache.Acc.n_slots ctx.tc
-      | B_straight (ctx, _) -> Tcache.Straight.n_slots ctx.tc
-    in
-    if slots > t.cfg.tcache_max_slots then begin
+    if n_slots t > t.cfg.tcache_max_slots then begin
       t.segs.capacity_flushes <- t.segs.capacity_flushes + 1;
       flush t
     end
@@ -206,23 +200,12 @@ let run ?sink ?boundary ?(fuel = max_int) t : outcome =
      allocates no closure while telemetry is off (the span thunk is only
      built when the switch is on). *)
   let exec_backend entry =
-    match t.backend with
-    | B_acc (_, ex) ->
-      let before = ex.stats.alpha_retired in
-      let r = Exec_acc.run ?sink ~fuel:t.fuel ex ~entry in
-      t.fuel <- t.fuel - (ex.stats.alpha_retired - before);
-      (match r with
-      | Exec_acc.X_reason reason -> `Reason reason
-      | Exec_acc.X_trap_recovered -> `Trap_recovered
-      | Exec_acc.X_fuel -> `Fuel)
-    | B_straight (_, ex) ->
-      let before = ex.stats.alpha_retired in
-      let r = Exec_straight.run ?sink ~fuel:t.fuel ex ~entry in
-      t.fuel <- t.fuel - (ex.stats.alpha_retired - before);
-      (match r with
-      | Exec_straight.X_reason reason -> `Reason reason
-      | Exec_straight.X_trap_recovered -> `Trap_recovered
-      | Exec_straight.X_fuel -> `Fuel)
+    match t.eng with
+    | E (_, (module X), e) ->
+      let before = e.stats.alpha_retired in
+      let r = X.run ?sink ~fuel:t.fuel e ~entry in
+      t.fuel <- t.fuel - (e.stats.alpha_retired - before);
+      r
   in
   let exec_translated entry =
     let exit_ =
@@ -231,19 +214,19 @@ let run ?sink ?boundary ?(fuel = max_int) t : outcome =
     in
     let seg =
       match exit_ with
-      | `Reason (Exitr.R_branch v) ->
+      | Engine.X_reason (Exitr.R_branch v) ->
         t.segs.branch_exits <- t.segs.branch_exits + 1;
         Seg_branch v
-      | `Reason (Exitr.R_pal v) ->
+      | X_reason (Exitr.R_pal v) ->
         t.segs.pal_exits <- t.segs.pal_exits + 1;
         Seg_pal v
-      | `Reason Exitr.R_dispatch_miss ->
+      | X_reason Exitr.R_dispatch_miss ->
         t.segs.dispatch_misses <- t.segs.dispatch_misses + 1;
         Seg_dispatch_miss
-      | `Trap_recovered ->
+      | X_trap_recovered ->
         t.segs.trap_recoveries <- t.segs.trap_recoveries + 1;
         Seg_trap_recovered
-      | `Fuel ->
+      | X_fuel ->
         t.segs.fuel_stops <- t.segs.fuel_stops + 1;
         Seg_fuel
     in
@@ -252,9 +235,7 @@ let run ?sink ?boundary ?(fuel = max_int) t : outcome =
     exit_
   in
   let dispatch_target () =
-    match t.backend with
-    | B_acc (_, ex) -> Exec_acc.dispatch_target ex
-    | B_straight (_, ex) -> Exec_straight.dispatch_target ex
+    match t.eng with E (_, (module X), e) -> X.dispatch_target e
   in
   let interp_one () =
     match interp_step_accounted t with
@@ -284,21 +265,21 @@ let run ?sink ?boundary ?(fuel = max_int) t : outcome =
       match entry_of t pc with
       | Some entry -> (
         match exec_translated entry with
-        | `Reason (Exitr.R_branch v) ->
+        | Engine.X_reason (Exitr.R_branch v) ->
           t.interp.pc <- v;
           candidate := true
-        | `Reason (Exitr.R_pal v_pc) ->
+        | X_reason (Exitr.R_pal v_pc) ->
           t.interp.pc <- v_pc;
           interp_reentry ()
-        | `Reason Exitr.R_dispatch_miss ->
+        | X_reason Exitr.R_dispatch_miss ->
           t.interp.pc <- dispatch_target ();
           candidate := true
-        | `Trap_recovered ->
+        | X_trap_recovered ->
           (* re-execute the faulting V-ISA instruction by interpretation;
              it raises the architectural trap with precise state (or, if
              the retry succeeds because state was repaired, continues) *)
           interp_reentry ()
-        | `Fuel -> result := Some Out_of_fuel)
+        | X_fuel -> result := Some Out_of_fuel)
       | None ->
         if !candidate then begin
           Cost.tick (cost t) Cost.profile_lookup;
@@ -350,17 +331,15 @@ let output t = Alpha.Interp.output t.interp
 let reg_checksum t = Alpha.Interp.reg_checksum t.interp
 let memory t = t.interp.mem
 
-let acc_exec t =
-  match t.backend with B_acc (_, ex) -> Some ex | B_straight _ -> None
+let acc_exec t : Acc_engine.t option =
+  match t.eng with E (T_acc, _, e) -> Some e | E (T_straight, _, _) -> None
 
-let straight_exec t =
-  match t.backend with B_straight (_, ex) -> Some ex | B_acc _ -> None
+let acc_ctx t = Option.map (fun (e : Acc_engine.t) -> e.ctx) (acc_exec t)
 
-let acc_ctx t =
-  match t.backend with B_acc (ctx, _) -> Some ctx | B_straight _ -> None
-
-let straight_ctx t =
-  match t.backend with B_straight (ctx, _) -> Some ctx | B_acc _ -> None
+let straight_ctx t : Straighten.ctx option =
+  match t.eng with
+  | E (T_straight, _, e) -> Some e.ctx
+  | E (T_acc, _, _) -> None
 
 (* ---------- telemetry publication ---------- *)
 
@@ -421,31 +400,21 @@ let publish_obs t =
     Obs.bump c_cost_iunits cost.Cost.interp_units;
     Obs.bump c_cost_xinsns cost.Cost.translated_insns;
     Obs.bump c_cost_iinsns cost.Cost.interp_insns;
-    let i_exec, by_class, alpha, enters, dh, dm =
-      match t.backend with
-      | B_acc (_, ex) ->
-        let s = ex.Exec_acc.stats in
-        ( s.i_exec, s.by_class, s.alpha_retired, s.frag_enters,
-          s.ret_dras_hits, s.ret_dras_misses )
-      | B_straight (_, ex) ->
-        let s = ex.Exec_straight.stats in
-        ( s.i_exec, s.by_class, s.alpha_retired, s.frag_enters,
-          s.ret_dras_hits, s.ret_dras_misses )
-    in
-    Obs.bump c_i_exec i_exec;
-    Obs.bump c_alpha alpha;
-    Obs.bump c_frag_enters enters;
-    Obs.bump c_dras_hits dh;
-    Obs.bump c_dras_misses dm;
+    let s = engine_stats t in
+    Obs.bump c_i_exec s.i_exec;
+    Obs.bump c_alpha s.alpha_retired;
+    Obs.bump c_frag_enters s.frag_enters;
+    Obs.bump c_dras_hits s.ret_dras_hits;
+    Obs.bump c_dras_misses s.ret_dras_misses;
     Obs.bump c_dras_overflows (dual_ras t).Machine.Dual_ras.overflows;
-    Array.iteri (fun i c -> Obs.bump c_class.(i) c) by_class;
-    match t.backend with
-    | B_acc (ctx, _) ->
-      Obs.bump c_spills ctx.Translate.n_spills;
-      Obs.bump c_splits ctx.Translate.n_splits;
-      Obs.bump c_i_bytes (Tcache.Acc.total_i_bytes ctx.Translate.tc)
-    | B_straight (ctx, _) ->
-      Obs.bump c_i_bytes (Tcache.Straight.total_i_bytes ctx.Straighten.tc)
+    Array.iteri (fun i c -> Obs.bump c_class.(i) c) s.by_class;
+    (match acc_ctx t with
+    | Some ctx ->
+      Obs.bump c_spills ctx.n_spills;
+      Obs.bump c_splits ctx.n_splits
+    | None -> ());
+    match t.eng with
+    | E (_, (module X), e) -> Obs.bump c_i_bytes (X.Tc.total_i_bytes (X.tc e.ctx))
   end
 
 (* ---------- persistent snapshots: save / warm start ---------- *)
@@ -467,8 +436,7 @@ let c_persist_loads = Obs.counter "persist.loads"
 let c_persist_slots = Obs.counter "persist.restored_slots"
 let c_persist_prewarmed = Obs.counter "persist.prewarmed_frags"
 
-let backend_name t =
-  match t.backend with B_acc _ -> "acc" | B_straight _ -> "straight"
+let backend_name t = match t.eng with E (_, (module X), _) -> X.name
 
 (* Hex MD5 over everything that defines the guest image: section bases and
    bytes plus the entry point. Two programs with the same digest produce
@@ -520,63 +488,39 @@ let refill_vec v xs =
   Vec.clear v;
   Array.iter (Vec.push v) xs
 
-let build_cache ~slots ~frags ~peis ~exits ~slot_alpha ~slot_class
-    ~slot_cyc_ooo ~slot_cyc_ildp ~dispatch_slot ~unique_vpcs :
-    _ Persist.Snapshot.cache =
-  {
-    slots;
-    frags = Array.of_list (List.map conv_frag frags);
-    peis =
-      (* sorted by slot: Hashtbl fold order is not deterministic, snapshot
-         bytes must be *)
-      Array.of_list
-        (List.map
-           (fun (slot, (p : Tcache.pei)) ->
-             { Persist.Snapshot.p_slot = slot; p_v_pc = p.pei_v_pc;
-               p_acc_map = Array.copy p.acc_map })
-           (List.sort (fun (a, _) (b, _) -> compare a b) peis));
-    exits = Array.map conv_exit (vec_to_array exits);
-    slot_alpha = vec_to_array slot_alpha;
-    slot_class = vec_to_array slot_class;
-    slot_cyc_ooo = vec_to_array slot_cyc_ooo;
-    slot_cyc_ildp = vec_to_array slot_cyc_ildp;
-    dispatch_slot;
-    unique_vpcs =
-      Array.of_list
-        (List.sort compare
-           (Hashtbl.fold (fun k () acc -> k :: acc) unique_vpcs []));
-  }
-
 let save_snapshot t : Persist.Snapshot.t =
   Obs.bump c_persist_saves 1;
   let body =
-    match t.backend with
-    | B_acc (ctx, _) ->
-      let tc = ctx.Translate.tc in
-      let n = Tcache.Acc.n_slots tc in
-      let slots =
-        Array.init n (fun sl ->
-            (Tcache.Acc.get tc sl, Tcache.Acc.starts_strand tc sl))
-      in
-      Persist.Snapshot.B_acc
-        (build_cache ~slots ~frags:(Tcache.Acc.fragments tc)
-           ~peis:(Tcache.Acc.pei_list tc) ~exits:ctx.exits
-           ~slot_alpha:ctx.slot_alpha ~slot_class:ctx.slot_class
-           ~slot_cyc_ooo:ctx.slot_cyc_ooo ~slot_cyc_ildp:ctx.slot_cyc_ildp
-           ~dispatch_slot:ctx.dispatch_slot ~unique_vpcs:ctx.unique_vpcs)
-    | B_straight (ctx, _) ->
-      let tc = ctx.Straighten.tc in
-      let n = Tcache.Straight.n_slots tc in
-      let slots =
-        Array.init n (fun sl ->
-            (Tcache.Straight.get tc sl, Tcache.Straight.starts_strand tc sl))
-      in
-      Persist.Snapshot.B_straight
-        (build_cache ~slots ~frags:(Tcache.Straight.fragments tc)
-           ~peis:(Tcache.Straight.pei_list tc) ~exits:ctx.exits
-           ~slot_alpha:ctx.slot_alpha ~slot_class:ctx.slot_class
-           ~slot_cyc_ooo:ctx.slot_cyc_ooo ~slot_cyc_ildp:ctx.slot_cyc_ildp
-           ~dispatch_slot:ctx.dispatch_slot ~unique_vpcs:ctx.unique_vpcs)
+    match t.eng with
+    | E (_, (module X), e) ->
+      let ctx = e.ctx in
+      let tc = X.tc ctx in
+      X.wrap
+        {
+          slots =
+            Array.init (X.Tc.n_slots tc) (fun sl ->
+                (X.Tc.get tc sl, X.Tc.starts_strand tc sl));
+          frags = Array.of_list (List.map conv_frag (X.Tc.fragments tc));
+          peis =
+            (* sorted by slot: Hashtbl fold order is not deterministic,
+               snapshot bytes must be *)
+            Array.of_list
+              (List.map
+                 (fun (slot, (p : Tcache.pei)) ->
+                   { Persist.Snapshot.p_slot = slot; p_v_pc = p.pei_v_pc;
+                     p_acc_map = Array.copy p.acc_map })
+                 (List.sort
+                    (fun (a, _) (b, _) -> Int.compare a b)
+                    (X.Tc.pei_list tc)));
+          exits = Array.map conv_exit (vec_to_array (X.exits ctx));
+          slot_alpha = vec_to_array (X.slot_alpha ctx);
+          slot_class = vec_to_array (X.slot_class ctx);
+          dispatch_slot = X.dispatch_slot ctx;
+          unique_vpcs =
+            Array.of_list
+              (List.sort Int.compare
+                 (Hashtbl.fold (fun k () acc -> k :: acc) (X.unique_vpcs ctx) []));
+        }
   in
   { fingerprint = fingerprint t; body }
 
@@ -595,11 +539,17 @@ let check_cache (c : _ Persist.Snapshot.cache) =
       (Array.length c.slot_alpha)
       (Array.length c.slot_class)
       n;
-  if Array.length c.slot_cyc_ooo <> n || Array.length c.slot_cyc_ildp <> n then
-    reject "per-slot cycle annotations (%d ooo, %d ildp) do not match %d slots"
-      (Array.length c.slot_cyc_ooo)
-      (Array.length c.slot_cyc_ildp)
-      n;
+  (* the threaded trampoline indexes its class counters with these
+     unchecked, and fuel accounting rests on the credits *)
+  Array.iteri
+    (fun s cls ->
+      if cls < 0 || cls >= Array.length c_class then
+        reject "slot %d has class %d outside [0, %d)" s cls
+          (Array.length c_class))
+    c.slot_class;
+  Array.iteri
+    (fun s a -> if a < 0 then reject "slot %d has negative credit %d" s a)
+    c.slot_alpha;
   Array.iteri
     (fun i (f : Persist.Snapshot.frag) ->
       if f.f_id <> i then reject "fragment ids not dense (%d at index %d)" f.f_id i;
@@ -652,45 +602,30 @@ let load_snapshot t ~prewarm_top (snap : Persist.Snapshot.t) =
   | [] -> ()
   | ms -> reject "%s" (String.concat "; " ms));
   let prewarmed, slots =
-    match (t.backend, snap.body) with
-    | B_acc (ctx, ex), Persist.Snapshot.B_acc c ->
-      check_cache c;
-      Tcache.Acc.restore ctx.Translate.tc ~code:c.slots
-        ~frags:(Array.map unconv_frag c.frags) ~peis:(restore_peis c);
-      refill_vec ctx.exits (Array.map unconv_exit c.exits);
-      refill_vec ctx.slot_alpha c.slot_alpha;
-      refill_vec ctx.slot_class c.slot_class;
-      refill_vec ctx.slot_cyc_ooo c.slot_cyc_ooo;
-      refill_vec ctx.slot_cyc_ildp c.slot_cyc_ildp;
-      ctx.dispatch_slot <- c.dispatch_slot;
-      Hashtbl.reset ctx.unique_vpcs;
-      Array.iter (fun v -> Hashtbl.replace ctx.unique_vpcs v ()) c.unique_vpcs;
-      let n = reinstall_dispatch t c ~prewarm_top in
-      (match t.cfg.engine with
-      | Config.Threaded -> Exec_acc.prewarm ex
-      | Config.Matched -> ());
-      (n, Array.length c.slots)
-    | B_straight (ctx, ex), Persist.Snapshot.B_straight c ->
-      check_cache c;
-      Tcache.Straight.restore ctx.Straighten.tc ~code:c.slots
-        ~frags:(Array.map unconv_frag c.frags) ~peis:(restore_peis c);
-      refill_vec ctx.exits (Array.map unconv_exit c.exits);
-      refill_vec ctx.slot_alpha c.slot_alpha;
-      refill_vec ctx.slot_class c.slot_class;
-      refill_vec ctx.slot_cyc_ooo c.slot_cyc_ooo;
-      refill_vec ctx.slot_cyc_ildp c.slot_cyc_ildp;
-      ctx.dispatch_slot <- c.dispatch_slot;
-      Hashtbl.reset ctx.unique_vpcs;
-      Array.iter (fun v -> Hashtbl.replace ctx.unique_vpcs v ()) c.unique_vpcs;
-      let n = reinstall_dispatch t c ~prewarm_top in
-      (match t.cfg.engine with
-      | Config.Threaded -> Exec_straight.prewarm ex
-      | Config.Matched -> ());
-      (n, Array.length c.slots)
-    | _ ->
-      (* unreachable through [fingerprint_mismatches] unless the file was
-         hand-crafted with an inconsistent backend/body pair *)
-      reject "body does not match the %s backend" (backend_name t)
+    match t.eng with
+    | E (_, (module X), e) -> (
+      match X.unwrap snap.body with
+      | None ->
+        (* unreachable through [fingerprint_mismatches] unless the file was
+           hand-crafted with an inconsistent backend/body pair *)
+        reject "body does not match the %s backend" X.name
+      | Some c ->
+        check_cache c;
+        let ctx = e.ctx in
+        X.Tc.restore (X.tc ctx) ~code:c.slots
+          ~frags:(Array.map unconv_frag c.frags) ~peis:(restore_peis c);
+        refill_vec (X.exits ctx) (Array.map unconv_exit c.exits);
+        refill_vec (X.slot_alpha ctx) c.slot_alpha;
+        refill_vec (X.slot_class ctx) c.slot_class;
+        X.set_dispatch_slot ctx c.dispatch_slot;
+        let vpcs = X.unique_vpcs ctx in
+        Hashtbl.reset vpcs;
+        Array.iter (fun v -> Hashtbl.replace vpcs v ()) c.unique_vpcs;
+        let n = reinstall_dispatch t c ~prewarm_top in
+        (match t.cfg.engine with
+        | Config.Threaded -> X.prewarm e
+        | Config.Matched -> ());
+        (n, Array.length c.slots))
   in
   Obs.bump c_persist_loads 1;
   Obs.bump c_persist_slots slots;
@@ -698,9 +633,8 @@ let load_snapshot t ~prewarm_top (snap : Persist.Snapshot.t) =
 
 (* [prewarm_top] bounds how many fragments get dispatch-table priority on
    a warm start; closure compilation covers every restored slot. *)
-let create ?(cfg = Config.default) ?annotate ?snapshot ?(prewarm_top = 8)
-    ~kind prog =
-  let t = create_cold ?annotate ~cfg ~kind prog in
+let create ?(cfg = Config.default) ?snapshot ?(prewarm_top = 8) ~kind prog =
+  let t = create_cold ~cfg ~kind prog in
   (match snapshot with
   | None -> ()
   | Some snap -> load_snapshot t ~prewarm_top snap);

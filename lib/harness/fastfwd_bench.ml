@@ -1,20 +1,15 @@
 (* Fast-forward timing benchmark: sampled vs full-fidelity ILDP timing
-   over the twelve workloads, plus the static-annotation tier.
+   over the fourteen workloads.
 
-   Three timed arms per workload, all over the acc backend:
+   Two timed arms per workload, both over the acc backend:
 
    - full fidelity: every translated-code event feeds the detailed Ildp
      model — the reference cycle count;
    - sampled: the same model behind the {!Uarch.Fastfwd} interval
      controller, which feeds only warm-up + detail windows and
-     back-charges the skipped remainder at the measured rate;
-   - static tier: a sink-less threaded-engine run with translation-time
-     cycle annotation, whose bulk-charged [st_cycles] is reported as the
-     zero-event estimate. Reported, never gated: it prices warmed,
-     well-predicted straight-line code, so it bounds the detailed count
-     from below by construction.
+     back-charges the skipped remainder at the measured rate.
 
-   A fourth, untimed arm runs the controller with [interval = 0] at
+   A third, untimed arm runs the controller with [interval = 0] at
    scale 1 and demands its cycle count equal the wrapped model's exactly
    — the sampling-off lockstep invariant. [--check] gates on the
    per-workload sampled-vs-full IPC error and on that invariant, not on
@@ -93,30 +88,10 @@ let run_exact_probe ~fuel w =
   in
   (r, r.cycles = Uarch.Ildp.cycles m)
 
-(* Static tier: threaded engine, no sink, translation-time annotation;
-   the engines bulk-charge the per-slot costs as [st_cycles]. *)
-let run_static ~scale ~fuel w =
-  let prog = Workloads.program ~scale w in
-  let cfg = { Core.Config.default with engine = Core.Config.Threaded } in
-  let vm =
-    Core.Vm.create ~cfg
-      ~annotate:(fun evs -> Uarch.Fastfwd.annotate evs)
-      ~kind:Core.Vm.Acc prog
-  in
-  let t0 = Unix.gettimeofday () in
-  let outcome = Core.Vm.run ~fuel vm in
-  let secs = Unix.gettimeofday () -. t0 in
-  let ex = Option.get (Core.Vm.acc_exec vm) in
-  { outcome = outcome_string outcome;
-    cycles = ex.stats.st_cycles;
-    alpha = ex.stats.alpha_retired;
-    secs }
-
 type row = {
   name : string;
   full : arm;
   sampled : arm;
-  static_ : arm;
   exact_ok : bool;
   mismatches : string list;
 }
@@ -143,23 +118,21 @@ let sweep ?(interval = Uarch.Fastfwd.default_interval) ?(scale = 1)
     (fun (w : Workloads.t) ->
       let full = run_full ~scale ~fuel w in
       let sampled = run_sampled ~interval ~scale ~fuel w in
-      let static_ = run_static ~scale ~fuel w in
       let _, exact_ok = run_exact_probe ~fuel w in
-      { name = w.name; full; sampled; static_; exact_ok;
+      { name = w.name; full; sampled; exact_ok;
         mismatches = verify ~full ~sampled ~exact_ok })
     Workloads.all
 
 let render fmt rows =
   Format.fprintf fmt
     "Fast-forward timing (ILDP model, sampled vs full fidelity)@.";
-  Format.fprintf fmt "%-12s %12s %12s %7s %7s %6s %8s %8s  %s@." "workload"
-    "cyc(full)" "cyc(sampled)" "vIPC" "vIPC'" "err%" "static" "speedup"
-    "check";
+  Format.fprintf fmt "%-12s %12s %12s %7s %7s %6s %8s  %s@." "workload"
+    "cyc(full)" "cyc(sampled)" "vIPC" "vIPC'" "err%" "speedup" "check";
   List.iter
     (fun r ->
-      Format.fprintf fmt "%-12s %12d %12d %7.3f %7.3f %5.1f%% %8.3f %7.2fx  %s@."
+      Format.fprintf fmt "%-12s %12d %12d %7.3f %7.3f %5.1f%% %7.2fx  %s@."
         r.name r.full.cycles r.sampled.cycles (v_ipc r.full) (v_ipc r.sampled)
-        (100.0 *. err r) (v_ipc r.static_) (speedup r)
+        (100.0 *. err r) (speedup r)
         (if r.mismatches = [] then "ok" else String.concat "; " r.mismatches))
     rows;
   let max_err = List.fold_left (fun a r -> Float.max a (err r)) 0.0 rows in
@@ -182,8 +155,6 @@ let json_of_row r =
       ("v_ipc_sampled", J.Float (v_ipc r.sampled));
       ("err", J.Float (err r));
       ("exact_ok", J.Bool r.exact_ok);
-      ("st_cycles", J.Int r.static_.cycles);
-      ("st_v_ipc", J.Float (v_ipc r.static_));
       ("full_secs", J.Float r.full.secs);
       ("sampled_secs", J.Float r.sampled.secs);
       ("speedup", J.Float (speedup r));

@@ -53,7 +53,7 @@ let run_straight ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
   let t0 = Unix.gettimeofday () in
   let outcome = Core.Vm.run ~fuel vm in
   let secs = Unix.gettimeofday () -. t0 in
-  let ex = Option.get (Core.Vm.straight_exec vm) in
+  let st = Core.Vm.engine_stats vm in
   {
     st_outcome =
       (match outcome with
@@ -61,7 +61,7 @@ let run_straight ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
       | Core.Vm.Fault tr -> Format.asprintf "trap:%a" Alpha.Interp.pp_trap tr
       | Core.Vm.Out_of_fuel -> "fuel");
     st_output = Core.Vm.output vm;
-    st_retired = ex.stats.alpha_retired + vm.interp_insns;
+    st_retired = st.alpha_retired + vm.interp_insns;
     st_secs = secs;
   }
 

@@ -114,12 +114,12 @@ let straight_raw ~chaining w ~scale =
   | Out_of_fuel -> failwith (w.name ^ ": out of fuel"));
   Core.Vm.publish_obs vm;
   Uarch.Ooo.publish_obs m;
-  let ex = Option.get (Core.Vm.straight_exec vm) in
+  let st = Core.Vm.engine_stats vm in
   let ctx = Option.get (Core.Vm.straight_ctx vm) in
   {
     s_t = timing_of_ooo m;
-    s_i_exec = ex.stats.i_exec;
-    s_alpha = ex.stats.alpha_retired;
+    s_i_exec = st.i_exec;
+    s_alpha = st.alpha_retired;
     s_interp = vm.interp_insns;
     s_frags = List.length (Core.Tcache.Straight.fragments ctx.tc);
     s_dbt_work = Core.Cost.per_translated_insn ctx.cost;
@@ -173,7 +173,7 @@ let acc_raw ?(isa = Core.Config.Modified) ?(chaining = Core.Config.Sw_pred_ras)
   | Out_of_fuel -> failwith (w.name ^ ": out of fuel"));
   Core.Vm.publish_obs vm;
   Option.iter Uarch.Ildp.publish_obs m;
-  let ex = Option.get (Core.Vm.acc_exec vm) in
+  let st = Core.Vm.engine_stats vm in
   let ctx = Option.get (Core.Vm.acc_ctx vm) in
   let frags = Core.Tcache.Acc.fragments ctx.tc in
   (* dynamic usage-category distribution: per-fragment static counts
@@ -191,11 +191,11 @@ let acc_raw ?(isa = Core.Config.Modified) ?(chaining = Core.Config.Sw_pred_ras)
   in
   {
     a_t = Option.map timing_of_ildp m;
-    a_i_exec = ex.stats.i_exec;
-    a_alpha = ex.stats.alpha_retired;
+    a_i_exec = st.i_exec;
+    a_alpha = st.alpha_retired;
     a_interp = vm.interp_insns;
-    a_copies = ex.stats.by_class.(1);
-    a_chain = ex.stats.by_class.(2);
+    a_copies = st.by_class.(1);
+    a_chain = st.by_class.(2);
     a_i_bytes = Core.Tcache.Acc.total_i_bytes ctx.tc;
     a_v_bytes = 4 * Hashtbl.length ctx.unique_vpcs;
     a_dbt_work = Core.Cost.per_translated_insn ctx.cost;
@@ -203,7 +203,7 @@ let acc_raw ?(isa = Core.Config.Modified) ?(chaining = Core.Config.Sw_pred_ras)
     a_spills = ctx.n_spills;
     a_splits = ctx.n_splits;
     a_dras_hit =
-      (let h = ex.stats.ret_dras_hits and m' = ex.stats.ret_dras_misses in
+      (let h = st.ret_dras_hits and m' = st.ret_dras_misses in
        if h + m' = 0 then 1.0 else float_of_int h /. float_of_int (h + m'));
     a_cat_dyn = cat_dyn;
   }

@@ -101,19 +101,14 @@ let run_spec ~name ~fuel { prog; cfg } =
     ms := "console output differs from golden" :: !ms;
   if Core.Vm.reg_checksum vm <> Alpha.Interp.reg_checksum golden then
     ms := "register checksum differs from golden" :: !ms;
-  let ex = Option.get (Core.Vm.acc_exec vm) in
-  let st = ex.Core.Exec_acc.stats in
+  let st = Core.Vm.engine_stats vm in
   let dras = Core.Vm.dual_ras vm in
   let segs = vm.Core.Vm.segs in
   {
     s_name = name;
     s_outcome = outcome;
     s_retired = st.alpha_retired + vm.interp_insns;
-    s_slots =
-      (match vm.Core.Vm.backend with
-      | Core.Vm.B_acc (ctx, _) -> Core.Tcache.Acc.n_slots ctx.Core.Translate.tc
-      | Core.Vm.B_straight (ctx, _) ->
-        Core.Tcache.Straight.n_slots ctx.Core.Straighten.tc);
+    s_slots = Core.Vm.n_slots vm;
     s_secs = secs;
     s_flushes = segs.flushes;
     s_capacity_flushes = segs.capacity_flushes;

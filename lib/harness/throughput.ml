@@ -22,7 +22,6 @@ type run_result = {
   i_exec : int;
   by_class : int array;
   alpha : int; (* V-ISA instructions retired in translated mode *)
-  st_cycles : int; (* bulk-charged static cycles; 0 without an annotator *)
   frag_enters : int;
   dras_hits : int;
   dras_misses : int;
@@ -47,18 +46,17 @@ let run_once ~engine ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
     | Core.Vm.Out_of_fuel -> "fuel"
   in
   Core.Vm.publish_obs vm;
-  let ex = Option.get (Core.Vm.acc_exec vm) in
+  let st = Core.Vm.engine_stats vm in
   {
     outcome;
     output = Core.Vm.output vm;
     checksum = Core.Vm.reg_checksum vm;
-    i_exec = ex.stats.i_exec;
-    by_class = Array.copy ex.stats.by_class;
-    alpha = ex.stats.alpha_retired;
-    st_cycles = ex.stats.st_cycles;
-    frag_enters = ex.stats.frag_enters;
-    dras_hits = ex.stats.ret_dras_hits;
-    dras_misses = ex.stats.ret_dras_misses;
+    i_exec = st.i_exec;
+    by_class = Array.copy st.by_class;
+    alpha = st.alpha_retired;
+    frag_enters = st.frag_enters;
+    dras_hits = st.ret_dras_hits;
+    dras_misses = st.ret_dras_misses;
     interp_insns = vm.interp_insns;
     superblocks = vm.superblocks;
     secs;
@@ -87,7 +85,6 @@ let verify ~(matched : run_result) ~(threaded : run_result) =
     (fun i c -> chki (Printf.sprintf "by_class.(%d)" i) threaded.by_class.(i) c)
     matched.by_class;
   chki "alpha_retired" threaded.alpha matched.alpha;
-  chki "st_cycles" threaded.st_cycles matched.st_cycles;
   chki "frag_enters" threaded.frag_enters matched.frag_enters;
   chki "ret_dras_hits" threaded.dras_hits matched.dras_hits;
   chki "ret_dras_misses" threaded.dras_misses matched.dras_misses;

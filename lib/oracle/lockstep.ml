@@ -174,9 +174,7 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
   let mode_str = mode_name mode in
   let retired () =
     vm.interp.icount
-    + (match Core.Vm.acc_exec vm with
-      | Some ex -> ex.stats.alpha_retired
-      | None -> (Option.get (Core.Vm.straight_exec vm)).stats.alpha_retired)
+    + (Core.Vm.engine_stats vm).alpha_retired
   in
   let boundaries = ref 0 in
   let insn_checks = ref 0 in
@@ -286,13 +284,8 @@ let run ?(granularity = Boundary) ?(threaded = false) ?(flush_every = 0)
         fail ~where:"final outcome"
           [ Snapshot.Outcome { got = show vm_end; want = show golden_outcome } ]
       end);
-    let dras_hits, dras_misses =
-      match Core.Vm.acc_exec vm with
-      | Some ex -> (ex.stats.ret_dras_hits, ex.stats.ret_dras_misses)
-      | None ->
-        let ex = Option.get (Core.Vm.straight_exec vm) in
-        (ex.stats.ret_dras_hits, ex.stats.ret_dras_misses)
-    in
+    let st = Core.Vm.engine_stats vm in
+    let dras_hits = st.ret_dras_hits and dras_misses = st.ret_dras_misses in
     Agree
       {
         retired = retired ();

@@ -20,8 +20,10 @@ let magic = "ILDPSNAP"
    bound (and hence flush points) differs.
    version 6: the region and superop tiers were removed — the fingerprint
    lost fp_region_threshold, fp_region_max_slots and fp_superops, and the
-   cache lost the idiom table. *)
-let version = 6
+   cache lost the idiom table.
+   version 7: the static cycle estimator was removed — the cache lost the
+   two per-slot cycle arrays of version 3. *)
+let version = 7
 
 type fingerprint = {
   fp_backend : string;
@@ -85,8 +87,6 @@ type 'insn cache = {
   exits : exit_reason array;
   slot_alpha : int array;
   slot_class : int array;
-  slot_cyc_ooo : int array;
-  slot_cyc_ildp : int array;
   dispatch_slot : int;
   unique_vpcs : int array;
 }
@@ -212,8 +212,6 @@ let put_cache w put_insn c =
   put_array w put_exit c.exits;
   put_array w B.int c.slot_alpha;
   put_array w B.int c.slot_class;
-  put_array w B.int c.slot_cyc_ooo;
-  put_array w B.int c.slot_cyc_ildp;
   B.int w c.dispatch_slot;
   put_array w B.int c.unique_vpcs
 
@@ -229,12 +227,10 @@ let get_cache r get_insn =
   let exits = get_array r get_exit in
   let slot_alpha = get_array r B.read_int in
   let slot_class = get_array r B.read_int in
-  let slot_cyc_ooo = get_array r B.read_int in
-  let slot_cyc_ildp = get_array r B.read_int in
   let dispatch_slot = B.read_int r in
   let unique_vpcs = get_array r B.read_int in
-  { slots; frags; peis; exits; slot_alpha; slot_class; slot_cyc_ooo;
-    slot_cyc_ildp; dispatch_slot; unique_vpcs }
+  { slots; frags; peis; exits; slot_alpha; slot_class; dispatch_slot;
+    unique_vpcs }
 
 let put_body w = function
   | B_acc c ->

@@ -68,10 +68,6 @@ type 'insn cache = {
   exits : exit_reason array;
   slot_alpha : int array;
   slot_class : int array;
-  slot_cyc_ooo : int array;
-      (** per-slot static cycle cost under the wide OoO model *)
-  slot_cyc_ildp : int array;
-      (** per-slot static cycle cost under the ILDP model *)
   dispatch_slot : int;
   unique_vpcs : int array;  (** sorted, for deterministic encodings *)
 }
@@ -83,7 +79,7 @@ type body =
 type t = { fingerprint : fingerprint; body : body }
 
 val version : int
-(** Current container version (6); bumped whenever any encoding changes.
+(** Current container version (7); bumped whenever any encoding changes.
     A snapshot of any other version is rejected. *)
 
 val to_string : t -> string

@@ -132,9 +132,7 @@ let image_bytes (prog : Alpha.Program.t) =
    [Core.Vm] is one of these two, so this reproduces the VM's own
    accounting to the instruction (asserted by test_service). *)
 let fuel_used vm =
-  Core.Vm.(
-    vm.interp_insns
-    + match acc_exec vm with Some ex -> ex.stats.alpha_retired | None -> 0)
+  vm.Core.Vm.interp_insns + (Core.Vm.engine_stats vm).alpha_retired
 
 (* Runs on a pool worker. [reserve] fuel was debited at admission; the
    difference against actual use is settled here, under the service

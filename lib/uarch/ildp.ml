@@ -78,6 +78,9 @@ type t = {
 }
 
 let create ?(params = default_params) ?(use_ras = true) () =
+  if params.n_pe < 1 then
+    invalid_arg
+      (Printf.sprintf "Ildp.create: n_pe must be at least 1, got %d" params.n_pe);
   {
     p = params;
     pred = Pred.create ~use_ras ();

@@ -58,6 +58,8 @@ type t = {
 }
 
 val create : ?params:params -> ?use_ras:bool -> unit -> t
+(** Raises [Invalid_argument] naming [n_pe] when [params.n_pe < 1]. *)
+
 val feed : t -> Machine.Ev.t -> unit
 
 val least_loaded : t -> int

@@ -66,36 +66,17 @@ let run_vm ~engine ?(flush_every = 0) ?sink ~(mode : Lockstep.mode) prog : obs
     | Core.Vm.Fault tr -> Format.asprintf "trap:%a" Alpha.Interp.pp_trap tr
     | Core.Vm.Out_of_fuel -> "fuel"
   in
-  let i_exec, by_class, alpha, frag_enters, dras_hits, dras_misses, compiled =
-    match (Core.Vm.acc_exec vm, Core.Vm.straight_exec vm) with
-    | Some ex, _ ->
-      ( ex.stats.i_exec,
-        Array.copy ex.stats.by_class,
-        ex.stats.alpha_retired,
-        ex.stats.frag_enters,
-        ex.stats.ret_dras_hits,
-        ex.stats.ret_dras_misses,
-        ex.ops_len )
-    | None, Some ex ->
-      ( ex.stats.i_exec,
-        Array.copy ex.stats.by_class,
-        ex.stats.alpha_retired,
-        ex.stats.frag_enters,
-        ex.stats.ret_dras_hits,
-        ex.stats.ret_dras_misses,
-        ex.ops_len )
-    | None, None -> assert false
-  in
+  let st = Core.Vm.engine_stats vm in
   {
     outcome;
     output = Core.Vm.output vm;
     checksum = Core.Vm.reg_checksum vm;
-    i_exec;
-    by_class;
-    alpha;
-    frag_enters;
-    dras_hits;
-    dras_misses;
+    i_exec = st.i_exec;
+    by_class = Array.copy st.by_class;
+    alpha = st.alpha_retired;
+    frag_enters = st.frag_enters;
+    dras_hits = st.ret_dras_hits;
+    dras_misses = st.ret_dras_misses;
     interp = vm.interp_insns;
     superblocks = vm.superblocks;
     segs =
@@ -105,7 +86,7 @@ let run_vm ~engine ?(flush_every = 0) ?sink ~(mode : Lockstep.mode) prog : obs
         vm.segs.trap_recoveries,
         vm.segs.fuel_stops );
     flushes = vm.segs.flushes;
-    compiled;
+    compiled = (match vm.eng with Core.Vm.E (_, _, e) -> e.ops_len);
   }
 
 let check_engines name ?flush_every ~mode prog =

@@ -111,10 +111,6 @@ let test_roundtrip () =
     check Alcotest.bool "exits equal" true (a.exits = b.exits);
     check Alcotest.bool "slot_alpha equal" true (a.slot_alpha = b.slot_alpha);
     check Alcotest.bool "slot_class equal" true (a.slot_class = b.slot_class);
-    check Alcotest.bool "slot_cyc_ooo equal" true
-      (a.slot_cyc_ooo = b.slot_cyc_ooo);
-    check Alcotest.bool "slot_cyc_ildp equal" true
-      (a.slot_cyc_ildp = b.slot_cyc_ildp);
     check Alcotest.int "dispatch slot" a.dispatch_slot b.dispatch_slot;
     check Alcotest.bool "unique vpcs equal" true (a.unique_vpcs = b.unique_vpcs)
   | _ -> Alcotest.fail "backend tag changed in roundtrip");
@@ -134,34 +130,6 @@ let test_straight_roundtrip () =
   | Persist.Snapshot.B_straight a, Persist.Snapshot.B_straight b ->
     check Alcotest.bool "straight slots equal" true (a.slots = b.slots)
   | _ -> Alcotest.fail "expected straight bodies"
-
-(* Static cycle annotations (the fast-forward tier) travel with the
-   snapshot: a warm start from an annotated VM restores the per-slot
-   costs byte-for-byte instead of recomputing them. *)
-let test_annotations_roundtrip () =
-  let prog = prog_of_seed 3 in
-  let annotate evs = Uarch.Fastfwd.annotate evs in
-  let cfg = cfg_of base_mode in
-  let cold = Core.Vm.create ~cfg ~annotate ~kind:Core.Vm.Acc prog in
-  ignore (Core.Vm.run ~fuel:5_000_000 cold : Core.Vm.outcome);
-  let snap =
-    Persist.Snapshot.of_string
-      (Persist.Snapshot.to_string (Core.Vm.save_snapshot cold))
-  in
-  (match snap.body with
-  | Persist.Snapshot.B_acc c ->
-    check Alcotest.int "ooo annotations ops-parallel" (Array.length c.slots)
-      (Array.length c.slot_cyc_ooo);
-    check Alcotest.int "ildp annotations ops-parallel" (Array.length c.slots)
-      (Array.length c.slot_cyc_ildp);
-    check Alcotest.bool "some annotation positive" true
-      (Array.exists (fun x -> x > 0) c.slot_cyc_ildp)
-  | Persist.Snapshot.B_straight _ -> Alcotest.fail "expected acc body");
-  let warm = Core.Vm.create ~cfg ~annotate ~snapshot:snap ~kind:Core.Vm.Acc prog in
-  let vec_list v = List.init (Machine.Vec.length v) (Machine.Vec.get v) in
-  let cyc vm = vec_list (Option.get (Core.Vm.acc_ctx vm)).slot_cyc_ildp in
-  check Alcotest.bool "warm start restores annotations" true
-    (cyc warm = cyc cold)
 
 (* ---------- damage rejection ---------- *)
 
@@ -212,6 +180,34 @@ let test_framing_rejected () =
     [ 1; -1 ]
 
 (* ---------- fingerprint invalidation ---------- *)
+
+(* Per-slot metadata in a snapshot whose bytes and CRC are valid: every
+   mutant must be rejected at load, never run. The threaded trampoline
+   indexes its 4-entry class counters with the restored classes unchecked,
+   and fuel and retirement accounting rest on the credits. *)
+let test_slot_metadata_rejected () =
+  let prog = Workloads.program ~scale:1 (Option.get (Workloads.find "gzip")) in
+  let vm = Core.Vm.create ~kind:Core.Vm.Acc prog in
+  ignore (Core.Vm.run ~fuel:5_000_000 vm : Core.Vm.outcome);
+  let snap = Core.Vm.save_snapshot vm in
+  let cache =
+    match snap.body with
+    | Persist.Snapshot.B_acc c -> c
+    | Persist.Snapshot.B_straight _ -> Alcotest.fail "expected acc body"
+  in
+  let load name (c : Accisa.Insn.t Persist.Snapshot.cache) =
+    let bytes =
+      Persist.Snapshot.to_string { snap with body = Persist.Snapshot.B_acc c }
+    in
+    expect_error name (fun () ->
+        Core.Vm.create ~snapshot:(Persist.Snapshot.of_string bytes)
+          ~kind:Core.Vm.Acc prog)
+  in
+  let every v a = Array.map (fun _ -> v) a in
+  load "class 1_000_000"
+    { cache with slot_class = every 1_000_000 cache.slot_class };
+  load "class 5" { cache with slot_class = every 5 cache.slot_class };
+  load "credit -3" { cache with slot_alpha = every (-3) cache.slot_alpha }
 
 let test_fingerprint_rejected () =
   let prog = prog_of_seed 6 in
@@ -302,7 +298,7 @@ let test_prewarm_compiles_closures () =
       prog
   in
   let ex = Option.get (Core.Vm.acc_exec vm) in
-  check Alcotest.int "all restored slots compiled" slots ex.Core.Exec_acc.ops_len
+  check Alcotest.int "all restored slots compiled" slots ex.ops_len
 
 (* A flush after a warm start must invalidate every restored structure
    (generation bump) and still leave a correct VM. *)
@@ -380,11 +376,11 @@ let suite =
     Alcotest.test_case "snapshot roundtrip (acc)" `Quick test_roundtrip;
     Alcotest.test_case "snapshot roundtrip (straight)" `Quick
       test_straight_roundtrip;
-    Alcotest.test_case "cycle annotations roundtrip" `Quick
-      test_annotations_roundtrip;
     Alcotest.test_case "bit flips rejected" `Quick test_corruption_rejected;
     Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
     Alcotest.test_case "framing damage rejected" `Quick test_framing_rejected;
+    Alcotest.test_case "malformed slot metadata rejected" `Quick
+      test_slot_metadata_rejected;
     Alcotest.test_case "fingerprint mismatches rejected" `Quick
       test_fingerprint_rejected;
     Alcotest.test_case "mismatch report" `Quick test_mismatch_report;

@@ -47,7 +47,7 @@ let run_vm ~cfg prog =
   | Core.Vm.Out_of_fuel -> Alcotest.fail "stress arm ran out of fuel");
   vm
 
-let stats vm = (Option.get (Core.Vm.acc_exec vm)).Core.Exec_acc.stats
+let stats = Core.Vm.engine_stats
 
 let threaded_cfg =
   { Core.Config.default with

@@ -374,65 +374,7 @@ let prop_least_loaded =
       m.n <- n;
       Uarch.Ildp.least_loaded m = scan_least_loaded m)
 
-(* ---------- fast-forward tier: static annotation + sampling ---------- *)
-
-let test_fastfwd_annotation_matches_models () =
-  (* straight-line code, no branches: the per-event deltas must telescope
-     to the warmed steady-state cost of the sequence under each model,
-     measured here independently (feed once to warm, drain, feed again) *)
-  let n = 64 in
-  let evs =
-    Array.init n (fun i ->
-        mk_ev ~pc:(0x1000 + (4 * i)) ~src1:(i mod 4) ~dst:((i + 1) mod 16) ())
-  in
-  let ooo, ildp = Uarch.Fastfwd.annotate evs in
-  check Alcotest.int "ooo costs length" n (Array.length ooo);
-  check Alcotest.int "ildp costs length" n (Array.length ildp);
-  Array.iter (fun c -> check Alcotest.bool "ooo cost >= 0" true (c >= 0)) ooo;
-  Array.iter (fun c -> check Alcotest.bool "ildp cost >= 0" true (c >= 0)) ildp;
-  let m = Uarch.Ooo.create () in
-  Array.iter (Uarch.Ooo.feed m) evs;
-  Uarch.Ooo.boundary m;
-  let c0 = m.Uarch.Ooo.last_commit in
-  Array.iter (Uarch.Ooo.feed m) evs;
-  check Alcotest.int "ooo sum equals warmed model cost"
-    (m.Uarch.Ooo.last_commit - c0)
-    (Array.fold_left ( + ) 0 ooo);
-  let m = Uarch.Ildp.create () in
-  Array.iter (Uarch.Ildp.feed m) evs;
-  Uarch.Ildp.boundary m;
-  let c0 = m.Uarch.Ildp.last_commit in
-  Array.iter (Uarch.Ildp.feed m) evs;
-  check Alcotest.int "ildp sum equals warmed model cost"
-    (m.Uarch.Ildp.last_commit - c0)
-    (Array.fold_left ( + ) 0 ildp)
-
-(* every engine bulk-charges the same per-slot static costs and refunds
-   them identically on faults, so st_cycles must agree exactly *)
-let st_cycles_of ~kind ~engine prog =
-  let cfg = { Core.Config.default with engine } in
-  let vm =
-    Core.Vm.create ~cfg
-      ~annotate:(fun evs -> Uarch.Fastfwd.annotate evs)
-      ~kind prog
-  in
-  let outcome = Core.Vm.run ~fuel:1_000_000 vm in
-  check Alcotest.bool "ran to completion" true (outcome = Core.Vm.Exit 0);
-  match kind with
-  | Core.Vm.Acc -> (Option.get (Core.Vm.acc_exec vm)).stats.st_cycles
-  | Core.Vm.Straight_only ->
-    (Option.get (Core.Vm.straight_exec vm)).stats.st_cycles
-
-let test_fastfwd_static_cycles_engines_agree () =
-  let prog = Alpha.Assembler.assemble fig2_src in
-  List.iter
-    (fun kind ->
-      let st engine = st_cycles_of ~kind ~engine prog in
-      let matched = st Core.Config.Matched in
-      check Alcotest.bool "static cycles positive" true (matched > 0);
-      check Alcotest.int "threaded agrees with matched" matched
-        (st Core.Config.Threaded))
-    [ Core.Vm.Acc; Core.Vm.Straight_only ]
+(* ---------- fast-forward tier: interval sampling ---------- *)
 
 let sampled_fig2 ~interval =
   let prog = Alpha.Assembler.assemble fig2_src in
@@ -535,6 +477,19 @@ let golden =
     ("vortex acc modified fig8 flushing", [ 106200; 185542; 128010; 2495; 45 ]);
   ]
 
+(* A machine needs a processing element: [Ildp.create] rejects [n_pe < 1]
+   by name instead of failing later inside its per-PE arrays. *)
+let test_ildp_create_validates () =
+  let mk n_pe () =
+    ignore
+      (Uarch.Ildp.create ~params:{ Uarch.Ildp.default_params with n_pe } ()
+        : Uarch.Ildp.t)
+  in
+  Alcotest.check_raises "no processing element"
+    (Invalid_argument "Ildp.create: n_pe must be at least 1, got 0")
+    (mk 0);
+  mk 1 ()
+
 let fig8_ildp = Harness.Experiments.ildp_base 8 0 `Big 4
 let small_ildp = Harness.Experiments.ildp_base 4 2 `Small 4
 
@@ -612,13 +567,10 @@ let suite =
     ("end-to-end ILDP V-IPC", `Quick, test_end_to_end_ildp_ipc);
     ("end-to-end OoO V-IPC", `Quick, test_end_to_end_ooo_ipc);
     ("end-to-end more PEs helps", `Quick, test_end_to_end_more_pes_not_slower);
-    ("fastfwd: annotation matches model cost", `Quick,
-      test_fastfwd_annotation_matches_models);
-    ("fastfwd: engines agree on static cycles", `Quick,
-      test_fastfwd_static_cycles_engines_agree);
     ("fastfwd: sampling deterministic", `Quick,
       test_fastfwd_sampling_deterministic);
     ("fastfwd: interval=0 is exact", `Quick, test_fastfwd_interval0_exact);
     ("fastfwd: window validation", `Quick, test_fastfwd_create_validates);
+    ("ildp: create validates n_pe", `Quick, test_ildp_create_validates);
     ("golden timing results", `Quick, test_timing_golden);
   ]
