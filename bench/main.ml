@@ -1,7 +1,7 @@
 (* Benchmark harness entry point.
 
    Default mode regenerates every table and figure of the paper's
-   evaluation section over the twelve workloads:
+   evaluation section over the fourteen workloads:
 
      dune exec bench/main.exe                  # everything, scale 1
      dune exec bench/main.exe -- -e fig8       # one experiment
@@ -10,7 +10,12 @@
 
    [--bechamel] instead runs wall-clock microbenchmarks of the DBT pipeline
    itself (translation throughput, interpretation, timing-model feed rate),
-   one Bechamel test per stage. *)
+   one Bechamel test per stage.
+
+   The special experiments (functional-throughput, timing-fastfwd,
+   persist, nn-inference, stress) verify what they measure and exit 1 on
+   a failed gate; the @perf-smoke, @timing-smoke, @persist-smoke,
+   @nn-smoke and @stress-smoke aliases run them in tier-1. *)
 
 let scale = ref 1
 let scale_set = ref false (* --scale given explicitly *)
@@ -20,16 +25,8 @@ let bechamel = ref false
 let list_only = ref false
 let csv_dir = ref None
 let jobs = ref 0 (* 0 = Domain.recommended_domain_count () *)
-let bench_json = ref None
 let repeats = ref 3
 let telemetry_json = ref None
-let check_file = ref None
-let check_tol = ref 0.10
-let save_cache = ref None
-let load_cache = ref None
-let sessions = ref 1000
-let images = ref 4
-let service_seed = ref 1
 
 let args =
   [
@@ -47,27 +44,10 @@ let args =
        Uarch.Fastfwd.default_interval);
     ("--jobs", Arg.Set_int jobs,
      "N simulation worker domains (default: recommended domain count)");
-    ("--bench-json", Arg.String (fun f -> bench_json := Some f),
-     "FILE write per-experiment wall-clock seconds as JSON");
     ("--repeats", Arg.Set_int repeats,
      "N best-of-N timing repeats for functional-throughput (default 3)");
     ("--telemetry-json", Arg.String (fun f -> telemetry_json := Some f),
      "FILE enable telemetry; write counters/spans as JSON (+ .csv sibling)");
-    ("--check", Arg.String (fun f -> check_file := Some f),
-     "FILE regression-check against a committed baseline; exit 1 on failure");
-    ("--check-tol", Arg.Set_float check_tol,
-     "T relative tolerance for --check speedup comparisons (default 0.10)");
-    ("--save-cache", Arg.String (fun f -> save_cache := Some f),
-     "FILE with -e persist: save the first workload's cold snapshot here");
-    ("--load-cache", Arg.String (fun f -> load_cache := Some f),
-     "FILE with -e persist: warm the first workload from this snapshot \
-      (cross-process roundtrip) instead of its in-process encoding");
-    ("--sessions", Arg.Set_int sessions,
-     "N with -e service-load: guest sessions to drive (default 1000)");
-    ("--images", Arg.Set_int images,
-     "N with -e service-load: distinct workload images (default 4)");
-    ("--seed", Arg.Set_int service_seed,
-     "N with -e service-load: arrival-order shuffle seed (default 1)");
     ("--bechamel", Arg.Set bechamel, " run Bechamel microbenchmarks");
     ("--csv", Arg.String (fun d -> csv_dir := Some d),
      "DIR export per-benchmark series as CSV files");
@@ -76,31 +56,6 @@ let args =
 
 let effective_jobs () =
   if !jobs > 0 then !jobs else Domain.recommended_domain_count ()
-
-(* ---------- per-experiment wall-clock JSON ---------- *)
-
-(* Harness timing record, schema version 2: the /1 payload carried inside
-   the shared export envelope (whose "jobs" field replaces /1's own). *)
-let write_bench_json path ~jobs ~scale timings =
-  let module J = Obs.Json in
-  let total = List.fold_left (fun a (_, s) -> a +. s) 0.0 timings in
-  let doc =
-    Obs.Envelope.wrap ~schema:"ildp-dbt-bench/2" ~jobs
-      [ ("recommended_jobs", J.Int (Domain.recommended_domain_count ()));
-        ("scale", J.Int scale);
-        ("experiments",
-         J.List
-           (List.map
-              (fun (id, secs) ->
-                J.Obj [ ("id", J.String id); ("seconds", J.Float secs) ])
-              timings));
-        ("total_seconds", J.Float total) ]
-  in
-  (try J.write_file path doc
-   with Sys_error msg ->
-     Printf.eprintf "cannot write --bench-json output: %s\n" msg;
-     exit 1);
-  Printf.printf "wrote %s\n" path
 
 (* ---------- Bechamel microbenchmarks ---------- *)
 
@@ -193,25 +148,12 @@ let run_bechamel () =
 
 (* Not a paper experiment: wall-clock throughput of the VM's two translated
    execution engines, with full cross-engine state verification. Exit
-   status 1 on any divergence, so CI can gate on it (@perf-smoke). *)
+   status 1 on any divergence or when the geomean speedup falls below
+   [Throughput.speedup_floor], so CI can gate on it (@perf-smoke). *)
 let run_throughput fmt ~scale ~repeats =
   let rows = Harness.Throughput.sweep ~scale ~repeats () in
-  ignore (Harness.Throughput.render fmt rows);
+  let gm = Harness.Throughput.render fmt rows in
   Format.pp_print_flush fmt ();
-  Option.iter
-    (fun path ->
-      (* jobs=1 vs jobs=4 aggregate rows only for the committed record:
-         they re-run the sweep and are not needed for the CI gate *)
-      let jobs_rows =
-        [
-          Harness.Throughput.jobs_sweep ~jobs:1 ~scale ();
-          Harness.Throughput.jobs_sweep ~jobs:4 ~scale ();
-        ]
-      in
-      Harness.Throughput.write_json path ~jobs:1 ~scale
-        ~fuel:Harness.Throughput.default_fuel ~repeats rows jobs_rows;
-      Printf.printf "wrote %s\n" path)
-    !bench_json;
   if
     List.exists
       (fun (r : Harness.Throughput.row) -> r.mismatches <> [])
@@ -219,6 +161,12 @@ let run_throughput fmt ~scale ~repeats =
   then begin
     prerr_endline
       "functional-throughput: threaded engine diverged from match engine";
+    exit 1
+  end;
+  if gm < Harness.Throughput.speedup_floor then begin
+    Printf.eprintf
+      "functional-throughput: geomean speedup %.2fx below the %.2fx floor\n"
+      gm Harness.Throughput.speedup_floor;
     exit 1
   end
 
@@ -237,12 +185,6 @@ let run_timing fmt ~scale ~interval =
   let rows = Harness.Fastfwd_bench.sweep ~interval ~scale () in
   let max_err = Harness.Fastfwd_bench.render fmt rows in
   Format.pp_print_flush fmt ();
-  Option.iter
-    (fun path ->
-      Harness.Fastfwd_bench.write_json path ~jobs:1 ~scale
-        ~fuel:Harness.Fastfwd_bench.default_fuel ~interval rows;
-      Printf.printf "wrote %s\n" path)
-    !bench_json;
   if
     List.exists
       (fun (r : Harness.Fastfwd_bench.row) -> r.mismatches <> [])
@@ -263,29 +205,17 @@ let run_timing fmt ~scale ~interval =
 (* Not a paper experiment: cold-vs-warm start of the VM from a persisted
    translation-cache snapshot, with full cold/warm state verification and
    the translation-phase reduction measured in deterministic cost-model
-   units. Exit status 1 on any divergence (@persist-smoke gates on it). *)
+   units. Exit status 1 on any divergence or on a workload whose warm run
+   saves no translate units (@persist-smoke gates on it). *)
 let run_persist fmt ~scale =
-  let rows, first_bytes =
-    try Harness.Persist_bench.sweep ~scale ?load_cache:!load_cache ()
+  let rows =
+    try Harness.Persist_bench.sweep ~scale ()
     with Persist.Snapshot.Error msg ->
       Printf.eprintf "snapshot error: %s\n" msg;
       exit 1
   in
   ignore (Harness.Persist_bench.render fmt rows);
   Format.pp_print_flush fmt ();
-  Option.iter
-    (fun path ->
-      let oc = open_out_bin path in
-      output_string oc first_bytes;
-      close_out oc;
-      Printf.printf "wrote %s\n" path)
-    !save_cache;
-  Option.iter
-    (fun path ->
-      Harness.Persist_bench.write_json path ~jobs:1 ~scale
-        ~fuel:Harness.Persist_bench.default_fuel rows;
-      Printf.printf "wrote %s\n" path)
-    !bench_json;
   if
     List.exists
       (fun (r : Harness.Persist_bench.row) -> r.mismatches <> [])
@@ -295,55 +225,26 @@ let run_persist fmt ~scale =
     exit 1
   end
 
-(* ---------- translation-service load (1000 sessions, warm cache) ---------- *)
-
-(* Not a paper experiment: a load generator driving many concurrent guest
-   sessions through the translation service's shared warm-cache registry,
-   every session cross-verified against a serial reference run. Exit
-   status 1 on any divergence (@service-smoke gates on it). *)
-let run_service_load fmt ~scale =
-  let s =
-    Harness.Service_bench.run_load ~sessions:!sessions ~images:!images
-      ~scale ~jobs:(effective_jobs ()) ~seed:!service_seed ()
-  in
-  Harness.Service_bench.render fmt s;
-  Format.pp_print_flush fmt ();
-  Option.iter
-    (fun path ->
-      Harness.Service_bench.write_json path ~jobs:(effective_jobs ()) ~scale
-        ~fuel:Harness.Service_bench.default_fuel s;
-      Printf.printf "wrote %s\n" path)
-    !bench_json;
-  if s.divergences > 0 then begin
-    prerr_endline "service-load: sessions diverged from the serial reference";
-    exit 1
-  end;
-  if s.cold_builds <> s.images then begin
-    Printf.eprintf "service-load: %d cold builds for %d images (single-flight \
-                    violated)\n"
-      s.cold_builds s.images;
-    exit 1
-  end
-
 (* ---------- quantized NN inference (cross-engine, checksum-verified) ---------- *)
 
 (* Not a paper experiment: the nn_* kernels under both accumulator
    engines plus the straightening backend, gated on the per-layer
-   checksums agreeing everywhere. Exit status 1 on any divergence, so CI
-   can gate on it (@nn-smoke). *)
+   checksums agreeing everywhere and on the geomean speedup staying above
+   [Nn_bench.speedup_floor]. Exit status 1 on either, so CI can gate on
+   it (@nn-smoke). *)
 let run_nn fmt ~scale ~repeats =
   let rows = Harness.Nn_bench.sweep ~scale ~repeats () in
-  ignore (Harness.Nn_bench.render fmt rows);
+  let gm = Harness.Nn_bench.render fmt rows in
   Format.pp_print_flush fmt ();
-  Option.iter
-    (fun path ->
-      Harness.Nn_bench.write_json path ~jobs:1 ~scale
-        ~fuel:Harness.Nn_bench.default_fuel ~repeats rows;
-      Printf.printf "wrote %s\n" path)
-    !bench_json;
   if List.exists (fun (r : Harness.Nn_bench.row) -> r.mismatches <> []) rows
   then begin
     prerr_endline "nn-inference: engines disagree on NN kernel checksums";
+    exit 1
+  end;
+  if gm < Harness.Nn_bench.speedup_floor then begin
+    Printf.eprintf
+      "nn-inference: geomean speedup %.2fx below the %.2fx floor\n" gm
+      Harness.Nn_bench.speedup_floor;
     exit 1
   end
 
@@ -358,12 +259,6 @@ let run_stress fmt ~scale =
   let s = Harness.Stress_bench.sweep ~scale () in
   Harness.Stress_bench.render fmt s;
   Format.pp_print_flush fmt ();
-  Option.iter
-    (fun path ->
-      Harness.Stress_bench.write_json path ~jobs:1 ~scale
-        ~fuel:Harness.Stress_bench.default_fuel s;
-      Printf.printf "wrote %s\n" path)
-    !bench_json;
   if
     List.exists
       (fun (r : Harness.Stress_bench.row) -> r.s_mismatches <> [])
@@ -381,21 +276,13 @@ let run_stress fmt ~scale =
    read memoised results, so console output is byte-identical at any job
    count; rows are formatted in the same order as a serial run. *)
 let run_experiments fmt exps ~scale =
-  let jobs = effective_jobs () in
-  Harness.Pool.with_pool ~jobs (fun pool ->
-      let timings =
-        List.map
-          (fun (e : Harness.Experiments.exp) ->
-            let t0 = Unix.gettimeofday () in
-            Harness.Runner.prewarm ~pool (e.plan ~scale);
-            e.render fmt ~scale;
-            Format.pp_print_flush fmt ();
-            (e.id, Unix.gettimeofday () -. t0))
-          exps
-      in
-      Option.iter
-        (fun path -> write_bench_json path ~jobs ~scale timings)
-        !bench_json)
+  Harness.Pool.with_pool ~jobs:(effective_jobs ()) (fun pool ->
+      List.iter
+        (fun (e : Harness.Experiments.exp) ->
+          Harness.Runner.prewarm ~pool (e.plan ~scale);
+          e.render fmt ~scale;
+          Format.pp_print_flush fmt ())
+        exps)
 
 (* ---------- special (non-registry) experiments ----------
 
@@ -414,9 +301,6 @@ let specials () : (string * string * (Format.formatter -> unit)) list =
     ("persist",
      "cold vs warm start from a translation-cache snapshot, verified",
      fun fmt -> run_persist fmt ~scale:!scale);
-    ("service-load",
-     "translation-service session load over the warm-cache registry, verified",
-     fun fmt -> run_service_load fmt ~scale:!scale);
     ("nn-inference",
      "quantized NN kernels across all engines and backends, checksum-verified",
      fun fmt -> run_nn fmt ~scale:!scale ~repeats:!repeats);
@@ -424,31 +308,6 @@ let specials () : (string * string * (Format.formatter -> unit)) list =
      "adversarial stress arms with translator-health telemetry, target-gated",
      fun fmt -> run_stress fmt ~scale:!scale);
   ]
-
-(* ---------- baseline regression check (--check, CI gate) ---------- *)
-
-let run_check path =
-  let ids =
-    List.map (fun (e : Harness.Experiments.exp) -> e.id) Harness.Experiments.all
-  in
-  let sweep () = Harness.Throughput.sweep ~scale:!scale ~repeats:!repeats () in
-  let timing_sweep () =
-    Harness.Fastfwd_bench.sweep ~interval:!sample_interval
-      ~scale:(timing_scale ()) ()
-  in
-  let service_sweep ~sessions ~images ~seed =
-    Harness.Service_bench.run_load ~sessions ~images ~scale:!scale
-      ~jobs:(effective_jobs ()) ~seed ()
-  in
-  let nn_sweep () = Harness.Nn_bench.sweep ~scale:!scale ~repeats:!repeats () in
-  let stress_sweep () = Harness.Stress_bench.sweep ~scale:!scale () in
-  let r =
-    Harness.Check.run ~tol:!check_tol ~ids ~sweep ~timing_sweep ~service_sweep
-      ~nn_sweep ~stress_sweep path
-  in
-  Printf.printf "check %s (tol ±%.0f%%)\n" path (100.0 *. !check_tol);
-  List.iter print_endline r.Harness.Check.lines;
-  if not r.Harness.Check.ok then exit 1
 
 let () =
   Arg.parse args (fun _ -> ()) "ILDP DBT benchmark harness";
@@ -466,8 +325,7 @@ let () =
           ignore (Harness.Csv.telemetry csv snap);
           Printf.printf "wrote %s\nwrote %s\n" path csv))
     !telemetry_json;
-  if !check_file <> None then run_check (Option.get !check_file)
-  else if !list_only then begin
+  if !list_only then begin
     List.iter
       (fun (e : Harness.Experiments.exp) -> Printf.printf "%-8s %s\n" e.id e.desc)
       Harness.Experiments.all;

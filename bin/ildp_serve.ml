@@ -4,20 +4,22 @@
      ildp_serve --sessions 1000 --jobs 8   # heavier load
      ildp_serve --fuel-quota 2000000       # demonstrate clean quota kills
      ildp_serve --spill-dir /tmp/snap      # registry survives restarts
-     ildp_serve --json service.json        # machine-readable report
 
    The daemon admits every session through per-tenant quotas and bounded
    backpressure, warm-starts all but the first session per image from the
    shared snapshot registry, cross-verifies every completed session
    against a serial reference run, and drains in-flight sessions on
-   shutdown. Exit status: 0 clean; 1 on any divergence, on a
-   single-flight violation, or (under --require-warm-hits) when no
-   session warm-started. *)
+   shutdown. Exit status: 0 clean; 1 on any divergence, or (under
+   --require-warm-hits) when no session warm-started. A plain run (no
+   --fuel-quota, no --spill-dir) also exits 1 unless every session
+   completed, exactly one per image built cold (single-flight), and warm
+   sessions saved at least [Service_bench.reduction_floor] of the cold
+   translate units. *)
 
 open Cmdliner
 
 let run sessions images tenants jobs capacity scale seed fuel fuel_quota
-    spill_dir json telemetry_json require_warm_hits quiet =
+    spill_dir telemetry_json require_warm_hits quiet =
   Option.iter (fun _ -> Obs.set_enabled true) telemetry_json;
   let fmt = Format.std_formatter in
   if not quiet then
@@ -37,13 +39,6 @@ let run sessions images tenants jobs capacity scale seed fuel fuel_quota
   Format.pp_print_flush fmt ();
   Option.iter
     (fun path ->
-      Harness.Service_bench.write_json path
-        ~jobs:(Option.value ~default:0 jobs)
-        ~scale ~fuel s;
-      Printf.printf "wrote %s\n" path)
-    json;
-  Option.iter
-    (fun path ->
       let snap = Obs.collect () in
       Obs.Envelope.write_telemetry path ~jobs:(Option.value ~default:0 jobs)
         snap;
@@ -55,14 +50,31 @@ let run sessions images tenants jobs capacity scale seed fuel fuel_quota
   end;
   (* With a binding fuel quota, a killed builder legitimately makes some
      other session rebuild; with a spill dir, a previous daemon's
-     publishes legitimately make cold builds 0. Gate single-flight only
-     in the plain configuration. *)
-  if fuel_quota = None && spill_dir = None && s.cold_builds <> s.images
-  then begin
-    Printf.eprintf "ildp_serve: %d cold builds for %d images (single-flight \
-                    violated)\n"
-      s.cold_builds s.images;
-    exit 1
+     publishes legitimately make cold builds 0. Gate single-flight, and
+     the completion count and reduction that follow from it, only in the
+     plain configuration. *)
+  if fuel_quota = None && spill_dir = None then begin
+    if s.cold_builds <> s.images then begin
+      Printf.eprintf "ildp_serve: %d cold builds for %d images \
+                      (single-flight violated)\n"
+        s.cold_builds s.images;
+      exit 1
+    end;
+    if s.warm_hits + s.cold_builds <> s.sessions then begin
+      Printf.eprintf "ildp_serve: %d of %d sessions did not complete\n"
+        (s.sessions - s.warm_hits - s.cold_builds)
+        s.sessions;
+      exit 1
+    end;
+    if s.warm_hits > 0
+       && s.translate_reduction < Harness.Service_bench.reduction_floor
+    then begin
+      Printf.eprintf
+        "ildp_serve: translate reduction %.1f%% below the %.1f%% floor\n"
+        (100.0 *. s.translate_reduction)
+        (100.0 *. Harness.Service_bench.reduction_floor);
+      exit 1
+    end
   end;
   if require_warm_hits && s.warm_hits = 0 then begin
     prerr_endline "ildp_serve: no session warm-started from the registry";
@@ -113,10 +125,6 @@ let spill_dir =
              misses: a restarted daemon warm-starts from the previous \
              run's publishes.")
 
-let json =
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-       ~doc:"Write the load summary as JSON.")
-
 let telemetry_json =
   Arg.(value & opt (some string) None
        & info [ "telemetry-json" ] ~docv:"FILE"
@@ -136,7 +144,7 @@ let cmd =
   Cmd.v info
     Term.(
       const run $ sessions $ images $ tenants $ jobs $ capacity $ scale $ seed
-      $ fuel $ fuel_quota $ spill_dir $ json $ telemetry_json
+      $ fuel $ fuel_quota $ spill_dir $ telemetry_json
       $ require_warm_hits $ quiet)
 
 let () = exit (Cmd.eval cmd)

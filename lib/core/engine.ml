@@ -57,7 +57,6 @@ type ('ctx, 'regs) t = {
   interp : Alpha.Interp.t; (* shares architected registers and memory *)
   ix : Tcache.index; (* slot addresses and the fragment-entry map *)
   dras : Machine.Dual_ras.t;
-  mutable vbase : int;
   stats : stats;
   (* --- threaded-code engine state --- *)
   mutable ops : ('ctx, 'regs) op array; (* compiled slots [0, ops_len) *)
@@ -179,7 +178,6 @@ module Make (B : BACKEND) = struct
       interp;
       ix = Tc.index (tc ctx);
       dras = Machine.Dual_ras.create ();
-      vbase = 0;
       stats =
         { i_exec = 0; by_class = Array.make 4 0; alpha_retired = 0;
           frag_enters = 0; ret_dras_hits = 0; ret_dras_misses = 0 };

@@ -459,10 +459,7 @@ let compile (t : (ctx, regs) Engine.t) s : (ctx, regs) op =
     fun _ ->
       w value;
       next
-  | I.Set_vbase { vaddr } ->
-    fun t ->
-      t.vbase <- vaddr;
-      next
+  | I.Set_vbase _ -> fun _ -> next
   | I.Push_dras { g; v_ret; i_ret } -> (
     let vr = Int64.of_int v_ret in
     let set = match gpr_set_fn t g with Some f -> f | None -> fun _ -> () in
@@ -574,9 +571,7 @@ let step (t : (ctx, regs) Engine.t) s =
   | I.Lta { d; value } ->
     write_dst t d value;
     next
-  | I.Set_vbase { vaddr } ->
-    t.vbase <- vaddr;
-    next
+  | I.Set_vbase _ -> next
   | I.Push_dras { g; v_ret; i_ret } ->
     set_g t g (Int64.of_int v_ret);
     (* an unpatched push (return point untranslated at emission time)

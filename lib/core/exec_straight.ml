@@ -306,10 +306,7 @@ let compile (t : (ctx, regs) Engine.t) s : (ctx, regs) op =
       | None ->
         st.ret_dras_misses <- st.ret_dras_misses + 1;
         next)
-  | A.Set_vbase v ->
-    fun t ->
-      t.vbase <- v;
-      next
+  | A.Set_vbase _ -> fun _ -> next
   | A.Call_xlate exit_id ->
     let code = ret_exit exit_id in
     fun _ -> code
@@ -390,9 +387,7 @@ let step (t : (ctx, regs) Engine.t) s =
     | None ->
       t.stats.ret_dras_misses <- t.stats.ret_dras_misses + 1;
       next)
-  | A.Set_vbase v ->
-    t.vbase <- v;
-    next
+  | A.Set_vbase _ -> next
   | A.Call_xlate exit_id -> ret_exit exit_id
   | A.Call_xlate_cond (c, ra, exit_id) ->
     if A.cond_true c (get ra) then begin

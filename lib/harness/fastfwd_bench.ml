@@ -11,9 +11,9 @@
 
    A third, untimed arm runs the controller with [interval = 0] at
    scale 1 and demands its cycle count equal the wrapped model's exactly
-   — the sampling-off lockstep invariant. [--check] gates on the
-   per-workload sampled-vs-full IPC error and on that invariant, not on
-   any wall-clock quantity. *)
+   — the sampling-off lockstep invariant. The timing-fastfwd run exits 1
+   if a workload's sampled-vs-full V-IPC error exceeds [err_bound] or
+   that invariant fails; no wall-clock quantity is gated. *)
 
 type arm = {
   outcome : string;
@@ -25,16 +25,10 @@ type arm = {
 let default_fuel = 100_000_000
 
 (* The sampled run must stay within this relative V-IPC error of the
-   full-fidelity run; recorded in the baseline so the gate and the
-   committed record cannot drift apart. *)
+   full-fidelity run. *)
 let err_bound = 0.05
 
 let v_ipc (a : arm) = float_of_int a.alpha /. float_of_int (max 1 a.cycles)
-
-let outcome_string = function
-  | Core.Vm.Exit c -> Printf.sprintf "exit:%d" c
-  | Core.Vm.Fault tr -> Format.asprintf "trap:%a" Alpha.Interp.pp_trap tr
-  | Core.Vm.Out_of_fuel -> "fuel"
 
 (* One instrumented VM run with the given sink/boundary; [alpha] is
    accumulated here rather than read from the model so full, sampled and
@@ -50,7 +44,12 @@ let timed_run ~scale ~fuel ~sink ~boundary ~cycles w =
   let t0 = Unix.gettimeofday () in
   let outcome = Core.Vm.run ~sink ~boundary ~fuel vm in
   let secs = Unix.gettimeofday () -. t0 in
-  { outcome = outcome_string outcome; cycles = cycles (); alpha = !alpha; secs }
+  {
+    outcome = Runner.outcome_string outcome;
+    cycles = cycles ();
+    alpha = !alpha;
+    secs;
+  }
 
 let run_full ~scale ~fuel w =
   let m = Uarch.Ildp.create () in
@@ -140,38 +139,3 @@ let render fmt rows =
     "summary" (100.0 *. max_err) (100.0 *. err_bound)
     (Runner.geomean (List.map speedup rows));
   max_err
-
-let schema = "ildp-dbt-timing/1"
-
-let json_of_row r =
-  let module J = Obs.Json in
-  J.Obj
-    [ ("name", J.String r.name);
-      ("outcome", J.String r.full.outcome);
-      ("alpha", J.Int r.full.alpha);
-      ("cycles_full", J.Int r.full.cycles);
-      ("cycles_sampled", J.Int r.sampled.cycles);
-      ("v_ipc_full", J.Float (v_ipc r.full));
-      ("v_ipc_sampled", J.Float (v_ipc r.sampled));
-      ("err", J.Float (err r));
-      ("exact_ok", J.Bool r.exact_ok);
-      ("full_secs", J.Float r.full.secs);
-      ("sampled_secs", J.Float r.sampled.secs);
-      ("speedup", J.Float (speedup r));
-      ("verified", J.Bool (r.mismatches = [])) ]
-
-let to_json ~jobs ~scale ~fuel ~interval rows =
-  let module J = Obs.Json in
-  Obs.Envelope.wrap ~schema ~jobs
-    [ ("scale", J.Int scale);
-      ("fuel", J.Int fuel);
-      ("interval", J.Int interval);
-      ("warmup", J.Int Uarch.Fastfwd.default_warmup);
-      ("detail", J.Int Uarch.Fastfwd.default_detail);
-      ("err_bound", J.Float err_bound);
-      ("workloads", J.List (List.map json_of_row rows));
-      ("max_err", J.Float (List.fold_left (fun a r -> Float.max a (err r)) 0.0 rows));
-      ("geomean_speedup", J.Float (Runner.geomean (List.map speedup rows))) ]
-
-let write_json path ~jobs ~scale ~fuel ~interval rows =
-  Obs.Json.write_file path (to_json ~jobs ~scale ~fuel ~interval rows)

@@ -12,9 +12,9 @@
    is held to output/outcome equality only, since its internal statistics
    are legitimately different.
 
-   Headline metric is the same whole-VM V-ISA MIPS as the functional-
-   throughput sweep, per engine, with the threaded/matched speedup gated
-   by [--check] against BENCH_nn.json. *)
+   Headline metric is the same whole-VM V-ISA MIPS (per CPU second) as
+   the functional-throughput sweep, per engine; the geomean
+   threaded/matched speedup may not fall below [speedup_floor]. *)
 
 type straight_result = {
   st_outcome : string;
@@ -34,6 +34,10 @@ type row = {
 
 let default_fuel = Throughput.default_fuel
 
+(* 0.75 x the 2.362x geomean recorded when the kernels landed: the
+   nn-inference run exits 1 below it. *)
+let speedup_floor = 1.77
+
 (* The NN suite is every registry workload named nn_*. *)
 let nn_workloads () =
   List.filter
@@ -50,16 +54,12 @@ let parse_checksums output =
 let run_straight ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
   let prog = Workloads.program ~scale w in
   let vm = Core.Vm.create ~kind:Core.Vm.Straight_only prog in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sys.time () in
   let outcome = Core.Vm.run ~fuel vm in
-  let secs = Unix.gettimeofday () -. t0 in
+  let secs = Sys.time () -. t0 in
   let st = Core.Vm.engine_stats vm in
   {
-    st_outcome =
-      (match outcome with
-      | Core.Vm.Exit c -> Printf.sprintf "exit:%d" c
-      | Core.Vm.Fault tr -> Format.asprintf "trap:%a" Alpha.Interp.pp_trap tr
-      | Core.Vm.Out_of_fuel -> "fuel");
+    st_outcome = Runner.outcome_string outcome;
     st_output = Core.Vm.output vm;
     st_retired = st.alpha_retired + vm.interp_insns;
     st_secs = secs;
@@ -86,8 +86,10 @@ let sweep ?(scale = 1) ?(fuel = default_fuel) ?(repeats = 3) () =
   List.map
     (fun (w : Workloads.t) ->
       let run engine () = Throughput.run_once ~engine ~scale ~fuel w in
-      let matched = Throughput.best ~repeats (run Core.Config.Matched) in
-      let threaded = Throughput.best ~repeats (run Core.Config.Threaded) in
+      let matched, threaded =
+        Throughput.best_of ~repeats (run Core.Config.Matched)
+          (run Core.Config.Threaded)
+      in
       let straight = run_straight ~scale ~fuel w in
       {
         name = w.name;
@@ -121,30 +123,3 @@ let render fmt rows =
   let gm = Runner.geomean (List.map speedup rows) in
   Format.fprintf fmt "%-10s %10s %9.2fx@." "geomean" "" gm;
   gm
-
-let schema = "ildp-dbt-nn/1"
-
-let json_of_row r =
-  let module J = Obs.Json in
-  J.Obj
-    [ ("name", J.String r.name);
-      ("outcome", J.String r.threaded.outcome);
-      ("checksums", J.List (List.map (fun c -> J.Int c) r.checksums));
-      ("v_insns", J.Int (Throughput.retired r.threaded));
-      ("match_mips", J.Float (Throughput.mips r.matched));
-      ("threaded_mips", J.Float (Throughput.mips r.threaded));
-      ("straight_mips", J.Float (straight_mips r));
-      ("speedup", J.Float (speedup r));
-      ("verified", J.Bool (r.mismatches = [])) ]
-
-let to_json ~jobs ~scale ~fuel ~repeats rows =
-  let module J = Obs.Json in
-  Obs.Envelope.wrap ~schema ~jobs
-    [ ("scale", J.Int scale);
-      ("fuel", J.Int fuel);
-      ("repeats", J.Int repeats);
-      ("workloads", J.List (List.map json_of_row rows));
-      ("geomean_speedup", J.Float (Runner.geomean (List.map speedup rows))) ]
-
-let write_json path ~jobs ~scale ~fuel ~repeats rows =
-  Obs.Json.write_file path (to_json ~jobs ~scale ~fuel ~repeats rows)

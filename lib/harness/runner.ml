@@ -6,8 +6,8 @@
    configuration (e.g. the Fig. 6 and Fig. 8 baselines) reuse runs within
    one process.
 
-   The memo tables are domain-safe and single-flight (Memo): a run
-   requested concurrently by several experiments is simulated exactly
+   The memo tables are domain-safe and single-flight (Taskpool.Memo): a
+   run requested concurrently by several experiments is simulated exactly
    once, which is what lets the plan/prewarm phase below warm every cache
    from a Pool of worker domains. Individual simulations share no mutable
    state — each run builds its own interpreter, VM, translation cache and
@@ -248,6 +248,8 @@ let acc_key_of ~isa ~chaining ~n_accs ~fuse_mem ~stop_at_translated
     k_scale = scale;
   }
 
+module Memo = Taskpool.Memo
+
 let orig_cache : (string * bool * int, timing) Memo.t = Memo.create 64
 let straight_cache : (string * Core.Config.chaining * int, straight_out) Memo.t =
   Memo.create 64
@@ -401,6 +403,12 @@ let prewarm ~pool reqs =
   match first_error with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
+
+(* A VM run's outcome as the bench tables print it. *)
+let outcome_string = function
+  | Core.Vm.Exit c -> Printf.sprintf "exit:%d" c
+  | Core.Vm.Fault tr -> Format.asprintf "trap:%a" Alpha.Interp.pp_trap tr
+  | Core.Vm.Out_of_fuel -> "fuel"
 
 (* geometric mean, the usual summary for IPC-like ratios *)
 let geomean xs =

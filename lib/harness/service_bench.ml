@@ -1,5 +1,4 @@
 module Daemon = Service.Daemon
-module Registry = Service.Registry
 
 (* Load generator for the translation service.
 
@@ -13,9 +12,11 @@ module Registry = Service.Registry
    the reference output, register checksum and exit code.
 
    Headline metrics: warm-hit rate and the translation-work reduction in
-   deterministic cost-model units (both host-independent, both gated by
-   [check --check]); wall-clock throughput (sessions/sec) and latency
-   percentiles ride along as notes. *)
+   deterministic cost-model units (both host-independent); wall-clock
+   throughput (sessions/sec) and latency percentiles ride along as notes.
+   ildp_serve exits 1 on any divergence, and in a plain run (no fuel
+   quota, no spill directory) also unless every session completed, one
+   per image built cold, and the reduction reached [reduction_floor]. *)
 
 type image_ref = {
   i_name : string;
@@ -42,7 +43,6 @@ type summary = {
   divergences : int;
   warm_hits : int;
   cold_builds : int;
-  build_waits : int;
   quota_kills : int;
   rejected : int;
   warm_hit_rate : float;
@@ -57,6 +57,10 @@ type summary = {
 }
 
 let default_fuel = 100_000_000
+
+(* 0.75 x the 96.69% translate reduction of 1000 sessions over 4 images
+   recorded when the service landed; 50 sessions measure 96.7% too. *)
+let reduction_floor = 0.725
 
 (* Curated image pool for the load generator. The default four-image mix
    deliberately spans workload classes — loop-dominated compression
@@ -81,11 +85,7 @@ let reference ~cfg ~scale ~fuel (w : Workloads.t) =
   {
     i_name = w.name;
     i_prog = prog;
-    i_outcome =
-      (match outcome with
-      | Core.Vm.Exit c -> Printf.sprintf "exit:%d" c
-      | Core.Vm.Fault tr -> Format.asprintf "trap:%a" Alpha.Interp.pp_trap tr
-      | Core.Vm.Out_of_fuel -> "fuel");
+    i_outcome = Runner.outcome_string outcome;
     i_output = Core.Vm.output vm;
     i_checksum = Core.Vm.reg_checksum vm;
   }
@@ -284,7 +284,6 @@ let run_load ?(sessions = 1000) ?(images = 4) ?(tenants = 4) ?(scale = 1)
     divergences;
     warm_hits;
     cold_builds;
-    build_waits = stats.registry.Registry.build_waits;
     quota_kills = stats.quota_kills;
     rejected = stats.rejected;
     warm_hit_rate = float_of_int warm_hits /. float_of_int (max 1 sessions);
@@ -315,48 +314,14 @@ let render fmt (s : summary) =
     "warm-hit rate %.1f%% (%d warm / %d cold), translate reduction %.1f%%@."
     (100.0 *. s.warm_hit_rate) s.warm_hits s.cold_builds
     (100.0 *. s.translate_reduction);
+  if s.rejected + s.quota_kills > 0 then
+    Format.fprintf fmt
+      "%d sessions rejected at admission, %d killed by their tenant's fuel \
+       quota@."
+      s.rejected s.quota_kills;
   Format.fprintf fmt
     "%.1f sessions/sec (%.2fs wall), latency p50 %.2fms p95 %.2fms p99 \
      %.2fms@."
     s.sessions_per_sec s.wall_secs s.p50_ms s.p95_ms s.p99_ms;
   if s.divergences > 0 then
     Format.fprintf fmt "FAIL: %d divergences@." s.divergences
-
-let schema = "ildp-dbt-service/1"
-
-let json_of_row (r : image_row) =
-  let module J = Obs.Json in
-  J.Obj
-    [ ("name", J.String r.r_name);
-      ("sessions", J.Int r.r_sessions);
-      ("cold_xunits", J.Int r.r_cold_xunits);
-      ("warm_xunits", J.Int r.r_warm_xunits);
-      ("mean_cold_ms", J.Float r.r_mean_cold_ms);
-      ("mean_warm_ms", J.Float r.r_mean_warm_ms);
-      ("divergences", J.Int r.r_divergences) ]
-
-let to_json ~jobs ~scale ~fuel (s : summary) =
-  let module J = Obs.Json in
-  Obs.Envelope.wrap ~schema ~jobs
-    [ ("sessions", J.Int s.sessions);
-      ("images", J.Int s.images);
-      ("seed", J.Int s.seed);
-      ("scale", J.Int scale);
-      ("fuel", J.Int fuel);
-      ("divergences", J.Int s.divergences);
-      ("warm_hits", J.Int s.warm_hits);
-      ("cold_builds", J.Int s.cold_builds);
-      ("build_waits", J.Int s.build_waits);
-      ("quota_kills", J.Int s.quota_kills);
-      ("rejected", J.Int s.rejected);
-      ("warm_hit_rate", J.Float s.warm_hit_rate);
-      ("translate_reduction", J.Float s.translate_reduction);
-      ("wall_secs", J.Float s.wall_secs);
-      ("sessions_per_sec", J.Float s.sessions_per_sec);
-      ("p50_ms", J.Float s.p50_ms);
-      ("p95_ms", J.Float s.p95_ms);
-      ("p99_ms", J.Float s.p99_ms);
-      ("per_image", J.List (List.map json_of_row s.rows)) ]
-
-let write_json path ~jobs ~scale ~fuel s =
-  Obs.Json.write_file path (to_json ~jobs ~scale ~fuel s)

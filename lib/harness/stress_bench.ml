@@ -16,14 +16,12 @@
    Every run is differentially verified against the golden Alpha
    interpreter (outcome, console output, full register checksum), so the
    stressors prove robustness, not just survival. Counters are
-   deterministic; [--check] gates on the targets still being hit. *)
+   deterministic; the stress run exits 1 unless every target is hit. *)
 
 type row = {
   s_name : string;
-  s_outcome : string;
   s_retired : int;
   s_slots : int;  (* I-ISA slots live in the translation cache at exit *)
-  s_secs : float;
   s_flushes : int;
   s_capacity_flushes : int;
   s_dispatch_misses : int;
@@ -85,15 +83,7 @@ let run_spec ~name ~fuel { prog; cfg } =
     | Alpha.Interp.Out_of_fuel -> "fuel"
   in
   let vm = Core.Vm.create ~cfg ~kind:Core.Vm.Acc prog in
-  let t0 = Unix.gettimeofday () in
-  let outcome = Core.Vm.run ~fuel vm in
-  let secs = Unix.gettimeofday () -. t0 in
-  let outcome =
-    match outcome with
-    | Core.Vm.Exit c -> Printf.sprintf "exit:%d" c
-    | Core.Vm.Fault tr -> Format.asprintf "trap:%a" Alpha.Interp.pp_trap tr
-    | Core.Vm.Out_of_fuel -> "fuel"
-  in
+  let outcome = Runner.outcome_string (Core.Vm.run ~fuel vm) in
   let ms = ref [] in
   if outcome <> golden_outcome then
     ms := Printf.sprintf "outcome %s vs golden %s" outcome golden_outcome :: !ms;
@@ -106,10 +96,8 @@ let run_spec ~name ~fuel { prog; cfg } =
   let segs = vm.Core.Vm.segs in
   {
     s_name = name;
-    s_outcome = outcome;
     s_retired = st.alpha_retired + vm.interp_insns;
     s_slots = Core.Vm.n_slots vm;
-    s_secs = secs;
     s_flushes = segs.flushes;
     s_capacity_flushes = segs.capacity_flushes;
     s_dispatch_misses = segs.dispatch_misses;
@@ -184,43 +172,3 @@ let render fmt s =
       Format.fprintf fmt "target %-12s %s@." (Stress.arm_name arm)
         (if target_met s arm then "hit" else "MISSED"))
     Stress.all_arms
-
-let schema = "ildp-dbt-stress/1"
-
-let json_of_row r =
-  let module J = Obs.Json in
-  J.Obj
-    [ ("name", J.String r.s_name);
-      ("outcome", J.String r.s_outcome);
-      ("v_insns", J.Int r.s_retired);
-      ("slots", J.Int r.s_slots);
-      ("secs", J.Float r.s_secs);
-      ("flushes", J.Int r.s_flushes);
-      ("capacity_flushes", J.Int r.s_capacity_flushes);
-      ("dispatch_misses", J.Int r.s_dispatch_misses);
-      ("chain_share", J.Float r.s_chain_share);
-      ("dras_hits", J.Int r.s_dras_hits);
-      ("dras_misses", J.Int r.s_dras_misses);
-      ("dras_overflows", J.Int r.s_dras_overflows);
-      ("dras_hit_rate", J.Float r.s_dras_hit_rate);
-      ("verified", J.Bool (r.s_mismatches = [])) ]
-
-let to_json ~jobs ~scale ~fuel s =
-  let module J = Obs.Json in
-  Obs.Envelope.wrap ~schema ~jobs
-    [ ("scale", J.Int scale);
-      ("fuel", J.Int fuel);
-      ("seed", J.Int gen_seed);
-      ("flush_cap", J.Int flush_cap);
-      ("hot_threshold", J.Int hot_threshold);
-      ("arms", J.List (List.map json_of_row s.arms));
-      ("reference", json_of_row s.reference);
-      ("targets",
-       J.Obj
-         (List.map
-            (fun arm ->
-              (Stress.arm_name arm, J.Bool (target_met s arm)))
-            Stress.all_arms)) ]
-
-let write_json path ~jobs ~scale ~fuel s =
-  Obs.Json.write_file path (to_json ~jobs ~scale ~fuel s)

@@ -1,6 +1,6 @@
 (* Functional-throughput benchmark: translated execution speed of the VM
    itself (no timing model attached), measured in V-ISA MIPS over the
-   twelve workloads.
+   fourteen workloads.
 
    Each workload runs twice under identical configurations except for
    {!Core.Config.t.engine}: once on the instrumented variant-match engine
@@ -10,10 +10,17 @@
    differential test of the closure-compiled path at full workload scale.
 
    The headline metric is whole-VM throughput: every architecturally
-   retired V-ISA instruction (interpreted + translated) divided by
-   wall-clock seconds. That is the quantity a functional-mode user of the
+   retired V-ISA instruction (interpreted + translated) divided by the
+   run's CPU seconds. That is the quantity a functional-mode user of the
    DBT experiences; fragment-only rates would flatter the engines by
-   hiding profiling and translation time. *)
+   hiding profiling and translation time. A run executes on one domain,
+   so process CPU time is its own time, and other processes on the host
+   (such as the rest of a parallel [dune runtest]) do not inflate it the
+   way they inflate wall-clock time.
+
+   The geomean threaded/matched speedup may not fall below
+   [speedup_floor]. Both engines are timed in the same process, so the
+   ratio carries across hosts where absolute MIPS would not. *)
 
 type run_result = {
   outcome : string;
@@ -32,23 +39,23 @@ type run_result = {
 
 let default_fuel = 100_000_000
 
+(* 0.75 x the 2.454x geomean recorded when the engine landed: the
+   functional-throughput run exits 1 below it. At scale 1 and one repeat
+   the geomean measured 2.17-2.38x on a shared 2-vCPU host, under
+   contention too. *)
+let speedup_floor = 1.84
+
 let run_once ~engine ?(scale = 1) ?(fuel = default_fuel) (w : Workloads.t) =
   let prog = Workloads.program ~scale w in
   let cfg = { Core.Config.default with engine } in
   let vm = Core.Vm.create ~cfg ~kind:Core.Vm.Acc prog in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sys.time () in
   let outcome = Core.Vm.run ~fuel vm in
-  let secs = Unix.gettimeofday () -. t0 in
-  let outcome =
-    match outcome with
-    | Core.Vm.Exit c -> Printf.sprintf "exit:%d" c
-    | Core.Vm.Fault tr -> Format.asprintf "trap:%a" Alpha.Interp.pp_trap tr
-    | Core.Vm.Out_of_fuel -> "fuel"
-  in
+  let secs = Sys.time () -. t0 in
   Core.Vm.publish_obs vm;
   let st = Core.Vm.engine_stats vm in
   {
-    outcome;
+    outcome = Runner.outcome_string outcome;
     output = Core.Vm.output vm;
     checksum = Core.Vm.reg_checksum vm;
     i_exec = st.i_exec;
@@ -101,47 +108,27 @@ type row = {
 
 let speedup r = mips r.threaded /. mips r.matched
 
-(* Best-of-N wall clock; the simulations are deterministic, so state and
-   statistics are identical across repeats and only timing varies. *)
-let best ~repeats f =
-  let r0 = f () in
-  let best = ref r0 in
-  for _ = 2 to repeats do
-    let r = f () in
-    if r.secs < !best.secs then best := r
-  done;
-  !best
+(* Best-of-N timing of both engines. The simulations are deterministic,
+   so state and statistics are identical across repeats and only timing
+   varies; the engines alternate so that both sample the same host
+   conditions. *)
+let best_of ~repeats run_matched run_threaded =
+  let faster a b = if b.secs < a.secs then b else a in
+  let rec go n m t =
+    if n <= 1 then (m, t)
+    else go (n - 1) (faster m (run_matched ())) (faster t (run_threaded ()))
+  in
+  go repeats (run_matched ()) (run_threaded ())
 
 let sweep ?(scale = 1) ?(fuel = default_fuel) ?(repeats = 3) () =
   List.map
     (fun (w : Workloads.t) ->
-      let matched =
-        best ~repeats (fun () -> run_once ~engine:Core.Config.Matched ~scale ~fuel w)
-      in
-      let threaded =
-        best ~repeats (fun () ->
-            run_once ~engine:Core.Config.Threaded ~scale ~fuel w)
+      let run engine () = run_once ~engine ~scale ~fuel w in
+      let matched, threaded =
+        best_of ~repeats (run Core.Config.Matched) (run Core.Config.Threaded)
       in
       { name = w.name; matched; threaded; mismatches = verify ~matched ~threaded })
     Workloads.all
-
-type jobs_row = { jobs : int; wall_secs : float; agg_mips : float }
-
-(* Aggregate threaded-engine throughput with the workload sweep sharded
-   over a worker pool — the experiment harness's usage pattern. *)
-let jobs_sweep ~jobs ?(scale = 1) ?(fuel = default_fuel) () =
-  let t0 = Unix.gettimeofday () in
-  let results =
-    Pool.with_pool ~jobs (fun pool ->
-        Workloads.all
-        |> List.map (fun w ->
-               Pool.submit pool (fun () ->
-                   run_once ~engine:Core.Config.Threaded ~scale ~fuel w))
-        |> List.map Pool.await)
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let total = List.fold_left (fun a r -> a + retired r) 0 results in
-  { jobs; wall_secs = wall; agg_mips = float_of_int total /. wall /. 1e6 }
 
 let render fmt rows =
   Format.fprintf fmt
@@ -160,45 +147,3 @@ let render fmt rows =
   let gm = Runner.geomean (List.map speedup rows) in
   Format.fprintf fmt "%-12s %12s %12s %9.2fx@." "geomean" "" "" gm;
   gm
-
-(* Baseline schema, version 2: same per-workload fields as /1 but carried
-   inside the shared {!Obs.Envelope}, and the pool-scaling series renamed
-   from "jobs" (which the envelope now claims) to "jobs_sweep". The
-   [--check] reader accepts both versions. *)
-let schema = "ildp-dbt-exec-bench/2"
-
-let json_of_row r =
-  let module J = Obs.Json in
-  J.Obj
-    [ ("name", J.String r.name);
-      ("outcome", J.String r.threaded.outcome);
-      ("v_insns", J.Int (retired r.threaded));
-      ("translated_alpha", J.Int r.threaded.alpha);
-      ("interp_insns", J.Int r.threaded.interp_insns);
-      ("match_secs", J.Float r.matched.secs);
-      ("match_mips", J.Float (mips r.matched));
-      ("threaded_secs", J.Float r.threaded.secs);
-      ("threaded_mips", J.Float (mips r.threaded));
-      ("speedup", J.Float (speedup r));
-      ("verified", J.Bool (r.mismatches = [])) ]
-
-let to_json ~jobs ~scale ~fuel ~repeats rows jobs_rows =
-  let module J = Obs.Json in
-  Obs.Envelope.wrap ~schema ~jobs
-    [ ("scale", J.Int scale);
-      ("fuel", J.Int fuel);
-      ("repeats", J.Int repeats);
-      ("workloads", J.List (List.map json_of_row rows));
-      ("geomean_speedup", J.Float (Runner.geomean (List.map speedup rows)));
-      ("jobs_sweep",
-       J.List
-         (List.map
-            (fun (j : jobs_row) ->
-              J.Obj
-                [ ("jobs", J.Int j.jobs);
-                  ("wall_secs", J.Float j.wall_secs);
-                  ("agg_mips", J.Float j.agg_mips) ])
-            jobs_rows)) ]
-
-let write_json path ~jobs ~scale ~fuel ~repeats rows jobs_rows =
-  Obs.Json.write_file path (to_json ~jobs ~scale ~fuel ~repeats rows jobs_rows)

@@ -24,18 +24,6 @@ let date () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.tm_year + 1900)
     (tm.tm_mon + 1) tm.tm_mday tm.tm_hour tm.tm_min tm.tm_sec
 
-let fields ~schema ~jobs =
-  [
-    ("schema", Json.String schema);
-    ("envelope", Json.Int envelope_version);
-    ("git_rev", Json.String (git_rev ()));
-    ("date", Json.String (date ()));
-    ("host", Json.String (host ()));
-    ("jobs", Json.Int jobs);
-  ]
-
-let wrap ~schema ~jobs payload = Json.Obj (fields ~schema ~jobs @ payload)
-
 let schema_of doc = Option.bind (Json.member "schema" doc) Json.to_str
 
 let telemetry_schema = "ildp-dbt-telemetry/1"
@@ -44,4 +32,14 @@ let write_telemetry path ~jobs snapshot =
   let body =
     match Telemetry.to_json snapshot with Json.Obj f -> f | _ -> assert false
   in
-  Json.write_file path (wrap ~schema:telemetry_schema ~jobs body)
+  Json.write_file path
+    (Json.Obj
+       ([
+          ("schema", Json.String telemetry_schema);
+          ("envelope", Json.Int envelope_version);
+          ("git_rev", Json.String (git_rev ()));
+          ("date", Json.String (date ()));
+          ("host", Json.String (host ()));
+          ("jobs", Json.Int jobs);
+        ]
+       @ body))

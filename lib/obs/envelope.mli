@@ -1,12 +1,9 @@
-(** The versioned export envelope shared by every machine-readable
-    artifact this repo emits: the telemetry JSON ([--telemetry-json]),
-    the throughput baseline ([BENCH_exec.json]) and the harness timing
-    record ([BENCH_harness.json]).
+(** The versioned envelope of the telemetry export ([--telemetry-json]).
 
-    Each document is an object whose first fields are the envelope:
+    The document is an object whose first fields are the envelope:
 
     {v
-    "schema":  "<family>/<version>",   e.g. "ildp-dbt-exec-bench/2"
+    "schema":  "<family>/<version>",   e.g. "ildp-dbt-telemetry/1"
     "envelope": 1,                     envelope format itself
     "git_rev": "<commit or unknown>",
     "date":    "YYYY-MM-DDTHH:MM:SSZ" (UTC),
@@ -14,26 +11,11 @@
     "jobs":    <worker domains used>
     v}
 
-    followed by schema-specific payload fields. The CI regression
-    checker ([bench --check]) dispatches on ["schema"], so any consumer
-    can parse any of the three files with the same preamble code. *)
-
-val envelope_version : int
+    followed by the {!Telemetry.to_json} body. *)
 
 val git_rev : unit -> string
 (** [GITHUB_SHA] when set (CI), else [git rev-parse --short HEAD], else
     ["unknown"]. Never raises. *)
-
-val host : unit -> string
-val date : unit -> string
-(** Current UTC time, ISO-8601. *)
-
-val fields : schema:string -> jobs:int -> (string * Json.t) list
-(** The envelope fields, in canonical order. *)
-
-val wrap : schema:string -> jobs:int -> (string * Json.t) list -> Json.t
-(** [wrap ~schema ~jobs payload] is an object of envelope fields followed
-    by [payload]. *)
 
 val schema_of : Json.t -> string option
 (** The ["schema"] field of a parsed document (old pre-envelope

@@ -1,8 +1,7 @@
 (** Minimal JSON tree, parser and printer.
 
-    The telemetry export, the benchmark baselines ([BENCH_exec.json],
-    [BENCH_harness.json]) and the CI regression checker ([--check]) all
-    speak JSON; the environment deliberately has no third-party JSON
+    The telemetry export writes JSON and the ledger benchmark reads and
+    writes it; the environment deliberately has no third-party JSON
     dependency, so this is the one shared implementation. It covers the
     full JSON grammar except that numbers without a fraction or exponent
     are parsed as OCaml [int]s (every schema we read fits). *)

@@ -1,4 +1,5 @@
-(** The twelve SPEC CPU2000 INT analogue workloads.
+(** The fourteen workloads: twelve SPEC CPU2000 INT analogues and two
+    quantized NN inference kernels.
 
     Each is MiniC source parameterised by [scale]; scale 1 sizes a run at a
     few hundred thousand dynamic V-ISA instructions — small enough that the
@@ -7,13 +8,16 @@
     control-flow/ILP signature its namesake motivates. *)
 
 type t = {
-  name : string;  (** SPEC CPU2000 INT benchmark it mimics, e.g. "gzip" *)
+  name : string;
+      (** SPEC CPU2000 INT benchmark it mimics, e.g. "gzip", or an
+          [nn_*] kernel name *)
   description : string;
   source : scale:int -> string;  (** MiniC source at the given scale *)
 }
 
 val all : t list
-(** The twelve analogues, in the customary SPEC INT order. *)
+(** The twelve analogues, in the customary SPEC INT order, then
+    [nn_mlp] and [nn_tiled]. *)
 
 val find : string -> t option
 

@@ -17,8 +17,16 @@ let contains hay needle =
 
 let all_names () = List.map (fun (w : Workloads.t) -> w.name) Workloads.all
 
+(* The experiment set, in render order: a dropped or renamed experiment
+   silently shrinks the reproduced paper. *)
 let test_registry () =
-  check Alcotest.int "13 experiments" 13 (List.length Harness.Experiments.all);
+  check
+    Alcotest.(list string)
+    "experiment ids"
+    [ "table1"; "table2"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9";
+      "sec42"; "abl_fuse"; "abl_sbsize"; "abl_threshold"; "abl_linking" ]
+    (List.map (fun (e : Harness.Experiments.exp) -> e.id)
+       Harness.Experiments.all);
   List.iter
     (fun (e : Harness.Experiments.exp) ->
       check Alcotest.bool (e.id ^ " described") true (String.length e.desc > 5);
@@ -91,53 +99,6 @@ let test_original_vs_ildp_timing () =
   (* the ILDP machine executes MORE instructions for the same V-ISA work *)
   check Alcotest.bool "native IPC >= V-IPC" true (it.ipc >= it.v_ipc)
 
-(* the shared relative-tolerance gates behind --check: symmetric per-row
-   deviation, and the deliberately asymmetric geomean gate (regression
-   fails, improvement only notes) *)
-let test_check_rel_gate_directions () =
-  let open Harness.Check in
-  check Alcotest.bool "below tol exceeds" true
-    (rel_exceeds ~tol:0.1 ~base:2.0 1.7);
-  check Alcotest.bool "above tol exceeds" true
-    (rel_exceeds ~tol:0.1 ~base:2.0 2.3);
-  check Alcotest.bool "within tol" false (rel_exceeds ~tol:0.1 ~base:2.0 2.1);
-  check Alcotest.bool "non-positive baseline never gates" false
-    (rel_exceeds ~tol:0.1 ~base:0.0 99.0);
-  let dir base current =
-    match rel_direction ~tol:0.1 ~base current with
-    | Below -> "below"
-    | Within -> "within"
-    | Above -> "above"
-  in
-  check Alcotest.string "regression" "below" (dir 2.0 1.5);
-  check Alcotest.string "low edge inside" "within" (dir 2.0 1.85);
-  check Alcotest.string "high edge inside" "within" (dir 2.0 2.15);
-  check Alcotest.string "improvement" "above" (dir 2.0 2.5);
-  check Alcotest.string "zero baseline" "within" (dir 0.0 99.0)
-
-let test_check_gate_geomean_asymmetric () =
-  let gate base current =
-    let ok = ref true and lines = ref [] in
-    Harness.Check.gate_geomean ~ok ~lines ~tol:0.1 ~what:"geomean speedup"
-      ~base current;
-    (!ok, String.concat "\n" !lines)
-  in
-  (* falling below the baseline is a CI failure *)
-  let ok, out = gate 2.0 1.5 in
-  check Alcotest.bool "regression fails" false ok;
-  check Alcotest.bool "regression reported as FAIL" true (contains out "FAIL");
-  (* exceeding it must never fail — only a baseline-refresh note *)
-  let ok, out = gate 2.0 2.5 in
-  check Alcotest.bool "improvement passes" true ok;
-  check Alcotest.bool "improvement is a note" true (contains out "note");
-  check Alcotest.bool "improvement is not a FAIL" false (contains out "FAIL");
-  check Alcotest.bool "suggests refreshing baseline" true
-    (contains out "refreshing the baseline");
-  (* within tolerance is a plain ok line *)
-  let ok, out = gate 2.0 2.05 in
-  check Alcotest.bool "within passes" true ok;
-  check Alcotest.bool "within is ok" true (contains out "ok   ")
-
 let test_geomean_mean () =
   check (Alcotest.float 1e-9) "geomean" 2.0
     (Harness.Runner.geomean [ 1.0; 2.0; 4.0 ]);
@@ -154,9 +115,5 @@ let suite =
     ("runner: sane gzip statistics", `Slow, test_runner_results_sane);
     ("runner: memoisation", `Slow, test_runner_memoises);
     ("runner: timing plausibility", `Slow, test_original_vs_ildp_timing);
-    ("check: relative gates both directions", `Quick,
-      test_check_rel_gate_directions);
-    ("check: geomean gate asymmetry", `Quick,
-      test_check_gate_geomean_asymmetric);
     ("geomean and mean", `Quick, test_geomean_mean);
   ]

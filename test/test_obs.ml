@@ -333,26 +333,6 @@ let test_json_deep_nesting () =
     check (Alcotest.option Alcotest.int) "leaf survives" (Some 7)
       (probe depth doc')
 
-(* The snapshot fingerprint travels through BENCH_persist.json; the JSON
-   projection must invert exactly, or the CI checker would compare the
-   wrong configuration. *)
-let test_json_fingerprint_roundtrip () =
-  let fp =
-    { Persist.Snapshot.fp_backend = "acc"; fp_isa = "modified";
-      fp_chaining = "sw_pred_ras"; fp_engine = "threaded"; fp_n_accs = 4;
-      fp_hot_threshold = 45; fp_max_superblock = 200;
-      fp_stop_at_translated = false; fp_fuse_mem = true;
-      fp_tcache_max_slots = max_int;
-      fp_image_digest = "00ff a\"b,c" }
-  in
-  let doc = Harness.Persist_bench.json_of_fp fp in
-  match Obs.Json.parse_string (Obs.Json.to_string doc) with
-  | Error e -> Alcotest.fail e
-  | Ok doc' -> (
-    match Harness.Persist_bench.fp_of_json doc' with
-    | None -> Alcotest.fail "fingerprint projection did not parse back"
-    | Some fp' -> check Alcotest.bool "fields identical" true (fp = fp'))
-
 let test_envelope () =
   Obs.set_enabled true;
   Obs.bump c_a 9;
@@ -407,7 +387,5 @@ let suite =
       test_json_errors_carry_position;
     Alcotest.test_case "json deep nesting roundtrip" `Quick
       test_json_deep_nesting;
-    Alcotest.test_case "fingerprint json roundtrip" `Quick
-      test_json_fingerprint_roundtrip;
     Alcotest.test_case "envelope export" `Quick (fresh test_envelope);
   ]

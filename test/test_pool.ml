@@ -128,18 +128,18 @@ let test_pool_under_contention () =
 (* ---------- Memo (single-flight) ---------- *)
 
 let test_memo_basic () =
-  let tbl : (int, int) Harness.Memo.t = Harness.Memo.create 8 in
+  let tbl : (int, int) Taskpool.Memo.t = Taskpool.Memo.create 8 in
   let runs = ref 0 in
-  let v = Harness.Memo.find_or_compute tbl 7 (fun () -> incr runs; 49) in
+  let v = Taskpool.Memo.find_or_compute tbl 7 (fun () -> incr runs; 49) in
   check Alcotest.int "computed" 49 v;
-  let v = Harness.Memo.find_or_compute tbl 7 (fun () -> incr runs; 0) in
+  let v = Taskpool.Memo.find_or_compute tbl 7 (fun () -> incr runs; 0) in
   check Alcotest.int "cached" 49 v;
   check Alcotest.int "one computation" 1 !runs;
-  check Alcotest.int "one entry" 1 (Harness.Memo.length tbl);
-  check Alcotest.bool "mem" true (Harness.Memo.mem tbl 7)
+  check Alcotest.int "one entry" 1 (Taskpool.Memo.length tbl);
+  check Alcotest.bool "mem" true (Taskpool.Memo.mem tbl 7)
 
 let test_memo_single_flight_under_contention () =
-  let tbl : (string, int) Harness.Memo.t = Harness.Memo.create 8 in
+  let tbl : (string, int) Taskpool.Memo.t = Taskpool.Memo.create 8 in
   let runs = Atomic.make 0 in
   let compute () =
     Atomic.incr runs;
@@ -150,19 +150,19 @@ let test_memo_single_flight_under_contention () =
   let domains =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
-            Harness.Memo.find_or_compute tbl "key" compute))
+            Taskpool.Memo.find_or_compute tbl "key" compute))
   in
   let results = List.map Domain.join domains in
   List.iter (fun v -> check Alcotest.int "shared value" 123 v) results;
   check Alcotest.int "computed exactly once" 1 (Atomic.get runs)
 
 let test_memo_failure_not_cached () =
-  let tbl : (int, int) Harness.Memo.t = Harness.Memo.create 8 in
-  (match Harness.Memo.find_or_compute tbl 1 (fun () -> raise (Boom "first")) with
+  let tbl : (int, int) Taskpool.Memo.t = Taskpool.Memo.create 8 in
+  (match Taskpool.Memo.find_or_compute tbl 1 (fun () -> raise (Boom "first")) with
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom _ -> ());
-  check Alcotest.bool "failed key evicted" false (Harness.Memo.mem tbl 1);
-  let v = Harness.Memo.find_or_compute tbl 1 (fun () -> 11) in
+  check Alcotest.bool "failed key evicted" false (Taskpool.Memo.mem tbl 1);
+  let v = Taskpool.Memo.find_or_compute tbl 1 (fun () -> 11) in
   check Alcotest.int "retry succeeds" 11 v
 
 (* ---------- determinism: parallel prewarm = serial rendering ---------- *)

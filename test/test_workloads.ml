@@ -1,8 +1,9 @@
-(* Workload integration tests: all twelve SPEC analogues compile, run, and
-   compute identical results under the plain interpreter, the DBT VM in
-   representative modes, and the straightening backend; plus shape checks
-   on their dynamic characteristics (each workload must actually exercise
-   what it claims to). *)
+(* Workload integration tests: all fourteen workloads (twelve SPEC
+   analogues and two NN kernels) compile, run, and compute identical
+   results under the plain interpreter, the DBT VM in representative
+   modes, and the straightening backend; plus shape checks on their
+   dynamic characteristics (each workload must actually exercise what it
+   claims to) and the NN kernels' exact checksums. *)
 
 let check = Alcotest.check
 
@@ -134,6 +135,21 @@ let test_signature_gzip_bytes () =
     true
     (loads +. stores > 10.0)
 
+(* The NN kernels print per-layer checksums that fold every requantized
+   activation, so one mistranslated multiply or shift changes them. The
+   interpreter's scale-1 values are pinned here; the DBT-equivalence cases
+   above require every VM mode to print the same output. *)
+let test_nn_checksums () =
+  List.iter
+    (fun (name, want) ->
+      let _, out, _ = ref_of (find name) in
+      check
+        Alcotest.(list int)
+        (name ^ " checksums") want
+        (Harness.Nn_bench.parse_checksums out))
+    [ ("nn_mlp", [ 9882548; 5789793; 15120052; 10604111 ]);
+      ("nn_tiled", [ 3680989; 15870848; 5110624 ]) ]
+
 let test_scale_parameter () =
   let w = find "gzip" in
   let _, _, i1 = Workloads.reference ~scale:1 w in
@@ -141,11 +157,15 @@ let test_scale_parameter () =
   check Alcotest.bool (Printf.sprintf "scale grows work (%d -> %d)" i1 i2) true
     (i2 > i1 + (i1 / 3))
 
+(* The workload set, in registry order: every table and figure runs over
+   it, so a dropped or renamed workload changes the reproduced paper. *)
 let test_registry_consistency () =
-  check Alcotest.int "fourteen workloads" 14 (List.length Workloads.all);
-  let names = List.map (fun (w : Workloads.t) -> w.name) Workloads.all in
-  check Alcotest.int "unique names" 14
-    (List.length (List.sort_uniq compare names));
+  check
+    Alcotest.(list string)
+    "workload names"
+    [ "gzip"; "vpr"; "gcc"; "mcf"; "crafty"; "parser"; "eon"; "perlbmk";
+      "gap"; "vortex"; "bzip2"; "twolf"; "nn_mlp"; "nn_tiled" ]
+    (List.map (fun (w : Workloads.t) -> w.name) Workloads.all);
   List.iter
     (fun (w : Workloads.t) ->
       check Alcotest.bool (w.name ^ " has description") true
@@ -154,7 +174,7 @@ let test_registry_consistency () =
 
 let suite =
   [
-    ("all twelve compile and run", `Slow, test_all_compile_and_run);
+    ("all fourteen compile and run", `Slow, test_all_compile_and_run);
     ("DBT equivalence (modified/dual-RAS)", `Slow, test_dbt_equivalence_modified);
     ("DBT equivalence (basic/no_pred)", `Slow, test_dbt_equivalence_basic);
     ("straightening equivalence", `Slow, test_straight_equivalence);
@@ -164,6 +184,7 @@ let suite =
     ("crafty uses multiplies", `Slow, test_signature_crafty_logical);
     ("gcc is branchy", `Slow, test_signature_gcc_branchy);
     ("gzip touches memory", `Slow, test_signature_gzip_bytes);
+    ("NN kernels print the pinned checksums", `Quick, test_nn_checksums);
     ("scale parameter grows work", `Slow, test_scale_parameter);
     ("registry consistency", `Quick, test_registry_consistency);
   ]
