@@ -125,10 +125,11 @@ let dest = function
 
 (* ---------- operator semantics ----------
 
-   Shared by the Alpha interpreter and (after translation) the I-ISA
-   execution engine: translation re-maps operands but reuses these exact
-   value functions, which is what makes the "same architected results"
-   invariant testable. *)
+   The reference semantics: the Alpha interpreter and the matched
+   (instrumented) execution engine evaluate every operator here. The
+   threaded engine's compiled closures inline their own copy
+   ([Core.Engine.eval]/[holds]), which a property test holds equal to
+   these functions on every operator and condition. *)
 
 let sext32 v = Int64.of_int32 (Int64.to_int32 v)
 let sext8 v = Int64.shift_right (Int64.shift_left v 56) 56
@@ -278,64 +279,3 @@ let eval_op op a b =
     Int64.of_int !n
   | Cmoveq | Cmovne | Cmovlt | Cmovge | Cmovle | Cmovgt | Cmovlbs | Cmovlbc ->
     invalid_arg "eval_op: conditional move needs three operands"
-
-(* ---------- pre-matched operator closures ----------
-
-   The threaded-code execution engines resolve the operator once per
-   translated slot, at fragment-compile time, and then call straight into
-   the operation body on every execution. [cond_fn]/[eval_fn] return the
-   exact same value functions as [cond_true]/[eval_op] — the loop-based
-   rarities simply close over [eval_op] — so the "same architected
-   results" invariant is unchanged. *)
-
-let cond_fn c : int64 -> bool =
-  match c with
-  | Eq -> fun v -> Int64.equal v 0L
-  | Ne -> fun v -> not (Int64.equal v 0L)
-  | Lt -> fun v -> Int64.compare v 0L < 0
-  | Ge -> fun v -> Int64.compare v 0L >= 0
-  | Le -> fun v -> Int64.compare v 0L <= 0
-  | Gt -> fun v -> Int64.compare v 0L > 0
-  | Lbc -> fun v -> Int64.equal (Int64.logand v 1L) 0L
-  | Lbs -> fun v -> Int64.equal (Int64.logand v 1L) 1L
-
-let eval_fn op : int64 -> int64 -> int64 =
-  match op with
-  | Addl -> fun a b -> sext32 (Int64.add a b)
-  | Addq -> Int64.add
-  | Subl -> fun a b -> sext32 (Int64.sub a b)
-  | Subq -> Int64.sub
-  | S4addl -> fun a b -> sext32 (Int64.add (Int64.mul a 4L) b)
-  | S4addq -> fun a b -> Int64.add (Int64.mul a 4L) b
-  | S8addl -> fun a b -> sext32 (Int64.add (Int64.mul a 8L) b)
-  | S8addq -> fun a b -> Int64.add (Int64.mul a 8L) b
-  | S4subl -> fun a b -> sext32 (Int64.sub (Int64.mul a 4L) b)
-  | S4subq -> fun a b -> Int64.sub (Int64.mul a 4L) b
-  | S8subl -> fun a b -> sext32 (Int64.sub (Int64.mul a 8L) b)
-  | S8subq -> fun a b -> Int64.sub (Int64.mul a 8L) b
-  | Cmpeq -> fun a b -> bool64 (Int64.equal a b)
-  | Cmplt -> fun a b -> bool64 (Int64.compare a b < 0)
-  | Cmple -> fun a b -> bool64 (Int64.compare a b <= 0)
-  | Cmpult -> fun a b -> bool64 (Int64.unsigned_compare a b < 0)
-  | Cmpule -> fun a b -> bool64 (Int64.unsigned_compare a b <= 0)
-  | And_ -> Int64.logand
-  | Bic -> fun a b -> Int64.logand a (Int64.lognot b)
-  | Bis -> Int64.logor
-  | Ornot -> fun a b -> Int64.logor a (Int64.lognot b)
-  | Xor -> Int64.logxor
-  | Eqv -> fun a b -> Int64.logxor a (Int64.lognot b)
-  | Sll -> fun a b -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
-  | Srl ->
-    fun a b -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
-  | Sra -> fun a b -> Int64.shift_right a (Int64.to_int (Int64.logand b 63L))
-  | Mull -> fun a b -> sext32 (Int64.mul a b)
-  | Mulq -> Int64.mul
-  | Umulh -> umulh
-  | Sextb -> fun _ b -> sext8 b
-  | Sextw -> fun _ b -> sext16 b
-  | Cmoveq | Cmovne | Cmovlt | Cmovge | Cmovle | Cmovgt | Cmovlbs | Cmovlbc ->
-    invalid_arg "eval_fn: conditional move needs three operands"
-  | Extbl | Extwl | Extll | Extql | Extwh | Extlh | Extqh | Insbl | Inswl
-  | Insll | Insql | Mskbl | Mskwl | Mskll | Mskql | Zap | Zapnot | Cmpbge
-  | Ctpop | Ctlz | Cttz ->
-    eval_op op

@@ -30,7 +30,10 @@ let pal_putc = 1
 let pal_putint = 2
 
 type t = {
-  regs : int64 array; (* 32 architected registers; r31 pinned to zero *)
+  regs : Bytes.t;
+  (* 32 architected registers, register [r] in the 8 native-endian bytes
+     at offset [8 * r]; r31 pinned to zero. The execution engine's compiled
+     closures read and write these cells directly. *)
   mutable pc : int;
   mem : Memory.t;
   out : Buffer.t;
@@ -54,8 +57,8 @@ let create prog =
   let mem = Memory.create () in
   Program.load prog mem;
   let code = Program.predecode prog in
-  let regs = Array.make 32 0L in
-  regs.(Reg.sp) <- Int64.of_int Program.stack_top;
+  let regs = Bytes.make (32 * 8) '\000' in
+  Bytes.set_int64_ne regs (8 * Reg.sp) (Int64.of_int Program.stack_top);
   {
     regs;
     pc = prog.entry;
@@ -67,9 +70,11 @@ let create prog =
     text_limit = prog.text.base + (4 * Array.length code);
   }
 
-let get t r = if r = Reg.zero then 0L else t.regs.(r)
+(* Bounds-checked: a register number outside [0, 31] raises
+   [Invalid_argument]. *)
+let get t r = if r = Reg.zero then 0L else Bytes.get_int64_ne t.regs (8 * r)
 
-let set t r v = if r <> Reg.zero then t.regs.(r) <- v
+let set t r v = if r <> Reg.zero then Bytes.set_int64_ne t.regs (8 * r) v
 
 let output t = Buffer.contents t.out
 
@@ -224,7 +229,7 @@ let reg_checksum t =
   let h = ref 0xcbf29ce484222325L in
   for r = 0 to 30 do
     if r <> Reg.at && r <> Reg.gp then begin
-      h := Int64.logxor !h t.regs.(r);
+      h := Int64.logxor !h (get t r);
       h := Int64.mul !h 0x100000001b3L
     end
   done;

@@ -23,9 +23,21 @@ module Vec = Machine.Vec
      interprets one slot per call, with or without a sink. It is the
      reference engine of the differential tests.
 
-   Both engines keep the same statistics, execute the same value functions,
-   emit the same events, and are asserted identical by the differential
-   tests and the lockstep oracle.
+   Both engines keep the same statistics, compute the same values, emit the
+   same events, and are asserted identical by the differential tests and the
+   lockstep oracle. The matched step evaluates operators with
+   {!Alpha.Insn.eval_op}, the golden interpreter's semantics; the compiled
+   closures use this module's inlined copy ({!eval}, {!holds}), which a
+   property test holds equal to it on every operator.
+
+   Guest state is unboxed. Registers are 8-byte cells of a [Bytes.t] (the
+   interpreter's architected file, and the acc backend's accumulators and
+   VM scratch registers), and a compiled closure computes on [int64] from
+   operand cells to result cell without allocating. The closures that need
+   the evaluator are built here, in one module: dune's default (dev)
+   profile compiles the library [-opaque], so nothing is inlined across
+   modules, and an evaluator called in another module would box its
+   [int64] result.
 
    Precise traps: a memory fault inside a fragment refunds the faulting
    instruction's retirement credit, writes back architected values still
@@ -112,6 +124,380 @@ let check_static t ~slot target =
     invalid_arg
       (Printf.sprintf "engine: slot %d branches to invalid slot %d" slot target)
 
+(* ---------- cell-shaped slot closures, for both backends ----------
+
+   A backend compiles a slot by resolving its operands to cells and calling
+   one of the builders below. A cell is one register: a [Bytes.t] and the
+   byte offset of its 8 native-endian bytes. The backends range-check every
+   register, accumulator and predicate number before they make a cell (and
+   do so again for snapshot-restored caches, which compile through the same
+   path), so the closures read and write cells unchecked. Constant operands
+   and reads of r31 become private cells of their own. *)
+
+type cell = Bytes.t * int
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* A private cell holding [v]: a constant operand, or a sink for a value
+   that is computed and then discarded. *)
+let fresh_cell v : cell =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_ne b 0 v;
+  (b, 0)
+
+(* Where a slot's result goes. The accumulator shapes belong to the acc
+   backend: an accumulator write also clears the accumulator's
+   conditional-move predicate flag, one byte of the same [Bytes.t]. *)
+type dst =
+  | D_none (* r31 or no destination: the write is discarded *)
+  | D_cell of cell (* one register *)
+  | D_acc of Bytes.t * int * int (* accumulator bytes, offset, flag offset *)
+  | D_acc_gpr of Bytes.t * int * int * cell (* accumulator and a GPR *)
+
+module A = Alpha.Insn
+
+let sext32 v = Int64.of_int32 (Int64.to_int32 v)
+let bool64 b = if b then 1L else 0L
+
+(* The operator evaluator, equal to {!Alpha.Insn.eval_op} on every
+   non-conditional-move operator. Inlined into each ALU closure, so the
+   match on [op] is one jump-table dispatch and the result stays unboxed;
+   the byte-manipulation, count and high-multiply operators are rare and
+   call [eval_op], boxing their operands. *)
+let[@inline] eval (op : A.op3) a b =
+  match op with
+  | Addl -> sext32 (Int64.add a b)
+  | Addq -> Int64.add a b
+  | Subl -> sext32 (Int64.sub a b)
+  | Subq -> Int64.sub a b
+  | S4addl -> sext32 (Int64.add (Int64.mul a 4L) b)
+  | S4addq -> Int64.add (Int64.mul a 4L) b
+  | S8addl -> sext32 (Int64.add (Int64.mul a 8L) b)
+  | S8addq -> Int64.add (Int64.mul a 8L) b
+  | S4subl -> sext32 (Int64.sub (Int64.mul a 4L) b)
+  | S4subq -> Int64.sub (Int64.mul a 4L) b
+  | S8subl -> sext32 (Int64.sub (Int64.mul a 8L) b)
+  | S8subq -> Int64.sub (Int64.mul a 8L) b
+  | Cmpeq -> bool64 (Int64.equal a b)
+  | Cmplt -> bool64 (Int64.compare a b < 0)
+  | Cmple -> bool64 (Int64.compare a b <= 0)
+  | Cmpult -> bool64 (Int64.unsigned_compare a b < 0)
+  | Cmpule -> bool64 (Int64.unsigned_compare a b <= 0)
+  | And_ -> Int64.logand a b
+  | Bic -> Int64.logand a (Int64.lognot b)
+  | Bis -> Int64.logor a b
+  | Ornot -> Int64.logor a (Int64.lognot b)
+  | Xor -> Int64.logxor a b
+  | Eqv -> Int64.logxor a (Int64.lognot b)
+  | Sll -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
+  | Srl -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
+  | Sra -> Int64.shift_right a (Int64.to_int (Int64.logand b 63L))
+  | Mull -> sext32 (Int64.mul a b)
+  | Mulq -> Int64.mul a b
+  | Sextb -> Int64.shift_right (Int64.shift_left b 56) 56
+  | Sextw -> Int64.shift_right (Int64.shift_left b 48) 48
+  | Extbl | Extwl | Extll | Extql | Extwh | Extlh | Extqh | Insbl | Inswl
+  | Insll | Insql | Mskbl | Mskwl | Mskll | Mskql | Zap | Zapnot | Cmpbge
+  | Umulh | Ctpop | Ctlz | Cttz | Cmoveq | Cmovne | Cmovlt | Cmovge | Cmovle
+  | Cmovgt | Cmovlbs | Cmovlbc ->
+    A.eval_op op a b
+
+(* The condition evaluator, equal to {!Alpha.Insn.cond_true}. *)
+let[@inline] holds (c : A.cond) v =
+  match c with
+  | Eq -> Int64.equal v 0L
+  | Ne -> not (Int64.equal v 0L)
+  | Lt -> Int64.compare v 0L < 0
+  | Ge -> Int64.compare v 0L >= 0
+  | Le -> Int64.compare v 0L <= 0
+  | Gt -> Int64.compare v 0L > 0
+  | Lbc -> Int64.equal (Int64.logand v 1L) 0L
+  | Lbs -> Int64.equal (Int64.logand v 1L) 1L
+
+let is_cmov_op : A.op3 -> bool = function
+  | Cmoveq | Cmovne | Cmovlt | Cmovge | Cmovle | Cmovgt | Cmovlbs | Cmovlbc ->
+    true
+  | _ -> false
+
+(* [d <- a op b]. A discarded result is never computed: operators are pure. *)
+let alu op d ((xa, ia) : cell) ((xb, ib) : cell) ~next : (_, _) op =
+  if is_cmov_op op then
+    invalid_arg "engine: conditional move needs three operands";
+  match d with
+  | D_none -> fun _ -> next
+  | D_cell (x, i) ->
+    fun _ ->
+      set64 x i (eval op (get64 xa ia) (get64 xb ib));
+      next
+  | D_acc (x, i, f) ->
+    fun _ ->
+      set64 x i (eval op (get64 xa ia) (get64 xb ib));
+      Bytes.unsafe_set x f '\000';
+      next
+  | D_acc_gpr (x, i, f, (y, j)) ->
+    fun _ ->
+      let v = eval op (get64 xa ia) (get64 xb ib) in
+      set64 x i v;
+      Bytes.unsafe_set x f '\000';
+      set64 y j v;
+      next
+
+(* [d <- s]: register copies and constant loads. *)
+let move d ((xs, is) : cell) ~next : (_, _) op =
+  match d with
+  | D_none -> fun _ -> next
+  | D_cell (x, i) ->
+    fun _ ->
+      set64 x i (get64 xs is);
+      next
+  | D_acc (x, i, f) ->
+    fun _ ->
+      set64 x i (get64 xs is);
+      Bytes.unsafe_set x f '\000';
+      next
+  | D_acc_gpr (x, i, f, (y, j)) ->
+    fun _ ->
+      let v = get64 xs is in
+      set64 x i v;
+      Bytes.unsafe_set x f '\000';
+      set64 y j v;
+      next
+
+(* The Alpha conditional move: [if cond (c) then d <- s]. *)
+let cmov cond ((xc, ic) : cell) ((xs, is) : cell) d ~next : (_, _) op =
+  match d with
+  | D_none -> fun _ -> next
+  | D_cell (x, i) ->
+    fun _ ->
+      if holds cond (get64 xc ic) then set64 x i (get64 xs is);
+      next
+  | D_acc _ | D_acc_gpr _ ->
+    invalid_arg "engine: conditional move into an accumulator"
+
+(* The acc I-ISA's conditional-move test: [d <- old], and the predicate
+   flag of [d]'s accumulator becomes [cond (c)]. *)
+let cmov_test cond ((xc, ic) : cell) ((xo, io) : cell) d ~next : (_, _) op =
+  match d with
+  | D_acc (x, i, f) ->
+    fun _ ->
+      let p = holds cond (get64 xc ic) in
+      set64 x i (get64 xo io);
+      Bytes.unsafe_set x f (if p then '\001' else '\000');
+      next
+  | D_acc_gpr (x, i, f, (y, j)) ->
+    fun _ ->
+      let p = holds cond (get64 xc ic) in
+      let v = get64 xo io in
+      set64 x i v;
+      set64 y j v;
+      Bytes.unsafe_set x f (if p then '\001' else '\000');
+      next
+  | D_none | D_cell _ ->
+    invalid_arg "engine: cmov-test without an accumulator destination"
+
+(* The acc I-ISA's conditional-move select: [d <- if flag then nv else a],
+   where [flag] is [a]'s predicate flag byte. *)
+let select ((xf, f) : Bytes.t * int) ((xn, in_) : cell) ((xa, ia) : cell) d
+    ~next : (_, _) op =
+  let[@inline] pick () =
+    if Bytes.unsafe_get xf f <> '\000' then get64 xn in_ else get64 xa ia
+  in
+  match d with
+  | D_none -> fun _ -> next
+  | D_cell (x, i) ->
+    fun _ ->
+      set64 x i (pick ());
+      next
+  | D_acc (x, i, fl) ->
+    fun _ ->
+      set64 x i (pick ());
+      Bytes.unsafe_set x fl '\000';
+      next
+  | D_acc_gpr (x, i, fl, (y, j)) ->
+    fun _ ->
+      let v = pick () in
+      set64 x i v;
+      Bytes.unsafe_set x fl '\000';
+      set64 y j v;
+      next
+
+(* Memory access widths. Loads of 2 and 1 bytes zero-extend; a 4-byte load
+   sign-extends ([Ld_l]) or zero-extends ([Ld_lu]). *)
+type load = Ld_q | Ld_l | Ld_lu | Ld_wu | Ld_bu
+type store = St_q | St_l | St_w | St_b
+
+let page_mask = Machine.Memory.chunk_size - 1
+
+let[@inline] loaded kind p off =
+  match kind with
+  | Ld_q -> Bytes.get_int64_le p off
+  | Ld_l -> Int64.of_int32 (Bytes.get_int32_le p off)
+  | Ld_lu ->
+    Int64.logand (Int64.of_int32 (Bytes.get_int32_le p off)) 0xffffffffL
+  | Ld_wu -> Int64.of_int (Bytes.get_uint16_le p off)
+  | Ld_bu -> Int64.of_int (Bytes.get_uint8 p off)
+
+let[@inline] stored kind p off v =
+  match kind with
+  | St_q -> Bytes.set_int64_le p off v
+  | St_l -> Bytes.set_int32_le p off (Int64.to_int32 v)
+  | St_w -> Bytes.set_uint16_le p off (Int64.to_int v land 0xffff)
+  | St_b -> Bytes.set_uint8 p off (Int64.to_int v land 0xff)
+
+(* The effective address of [disp(base)], recorded for the timing sink. *)
+let[@inline] ea t xb ib disp =
+  let addr = (Int64.to_int (get64 xb ib) + disp) land addr_mask in
+  t.ev_ea <- addr;
+  addr
+
+(* [d <- mem[disp(base)]]. An unaligned or unmapped access returns
+   [ret_fault]; an aligned access never straddles a chunk, so one page
+   fetch serves it. A discarded value is still loaded, so its fault
+   surfaces. *)
+let load kind mem d ((xb, ib) : cell) disp ~next : (_, _) op =
+  let amask =
+    match kind with Ld_q -> 7 | Ld_l | Ld_lu -> 3 | Ld_wu -> 1 | Ld_bu -> 0
+  in
+  let module M = Machine.Memory in
+  match d with
+  | D_none | D_cell _ ->
+    let x, i = match d with D_cell c -> c | _ -> fresh_cell 0L in
+    fun t ->
+      let addr = ea t xb ib disp in
+      if addr land amask <> 0 then ret_fault
+      else
+        let p = M.page mem addr in
+        if p == M.unmapped then ret_fault
+        else begin
+          set64 x i (loaded kind p (addr land page_mask));
+          next
+        end
+  | D_acc (x, i, f) ->
+    fun t ->
+      let addr = ea t xb ib disp in
+      if addr land amask <> 0 then ret_fault
+      else
+        let p = M.page mem addr in
+        if p == M.unmapped then ret_fault
+        else begin
+          set64 x i (loaded kind p (addr land page_mask));
+          Bytes.unsafe_set x f '\000';
+          next
+        end
+  | D_acc_gpr (x, i, f, (y, j)) ->
+    fun t ->
+      let addr = ea t xb ib disp in
+      if addr land amask <> 0 then ret_fault
+      else
+        let p = M.page mem addr in
+        if p == M.unmapped then ret_fault
+        else begin
+          let v = loaded kind p (addr land page_mask) in
+          set64 x i v;
+          Bytes.unsafe_set x f '\000';
+          set64 y j v;
+          next
+        end
+
+(* [mem[disp(base)] <- v], with the faults of {!load}. *)
+let store kind mem ((xv, iv) : cell) ((xb, ib) : cell) disp ~next : (_, _) op
+    =
+  let amask = match kind with St_q -> 7 | St_l -> 3 | St_w -> 1 | St_b -> 0 in
+  let module M = Machine.Memory in
+  fun t ->
+    let addr = ea t xb ib disp in
+    if addr land amask <> 0 then ret_fault
+    else
+      let p = M.wpage mem addr in
+      if p == M.unmapped then ret_fault
+      else begin
+        stored kind p (addr land page_mask) (get64 xv iv);
+        next
+      end
+
+(* Direct branch. The target's entry status is static, so its fragment is
+   resolved at compile time. *)
+let br ~target (frag : Tcache.frag option) : (_, _) op =
+  match frag with
+  | Some f ->
+    fun t ->
+      t.ev_taken <- true;
+      enter_fragment t f;
+      target
+  | None ->
+    fun t ->
+      t.ev_taken <- true;
+      target
+
+(* Conditional branch on a register. *)
+let bc cond ((x, i) : cell) ~target (frag : Tcache.frag option) ~next :
+    (_, _) op =
+  match frag with
+  | Some f ->
+    fun t ->
+      if holds cond (get64 x i) then begin
+        t.ev_taken <- true;
+        enter_fragment t f;
+        target
+      end
+      else next
+  | None ->
+    fun t ->
+      if holds cond (get64 x i) then begin
+        t.ev_taken <- true;
+        target
+      end
+      else next
+
+(* Conditional exit to the translator. *)
+let exit_if cond ((x, i) : cell) ~code ~next : (_, _) op =
+ fun t ->
+  if holds cond (get64 x i) then begin
+    t.ev_taken <- true;
+    code
+  end
+  else next
+
+(* Register-indirect transfer to the slot the register holds. *)
+let jump ((x, i) : cell) : (_, _) op =
+ fun t ->
+  t.ev_taken <- true;
+  let n = check_slot t (Int64.to_int (get64 x i)) in
+  enter_dynamic t n;
+  n
+
+(* Call linkage: the link register gets the V-ISA return address, and
+   with a dual-address RAS ([ras]) the (V, I) return pair is pushed. A
+   negative [i_ret] marks an unpatched push, whose return point was not yet
+   translated when it was emitted. *)
+let push_dras d ~v_ret ~i_ret ~ras ~next : (_, _) op =
+  let link = move d (fresh_cell (Int64.of_int v_ret)) ~next in
+  if ras then
+    let i_addr = if i_ret >= 0 then Some i_ret else None in
+    fun t ->
+      Machine.Dual_ras.push t.dras ~v_addr:v_ret ~i_addr;
+      link t
+  else link
+
+(* Dual-RAS return: a verified pair transfers to its I-address; a stale or
+   unpatched pair or an empty stack falls through to the dispatch path that
+   follows every dual-RAS return. *)
+let ret_dras ((x, i) : cell) ~next : (_, _) op =
+ fun t ->
+  match
+    Machine.Dual_ras.pop_verify t.dras ~v_actual:(Int64.to_int (get64 x i))
+  with
+  | Some n ->
+    t.stats.ret_dras_hits <- t.stats.ret_dras_hits + 1;
+    t.ev_taken <- true;
+    let n = check_slot t n in
+    enter_dynamic t n;
+    n
+  | None ->
+    t.stats.ret_dras_misses <- t.stats.ret_dras_misses + 1;
+    next
+
 (* Telemetry, registered once for both backends: a VM owns one engine, so
    the registry aggregates whichever backend ran. *)
 let c_compiles = Obs.counter "engine.compiled_slots"
@@ -145,8 +531,9 @@ module type BACKEND = sig
   (* The execution side. *)
   val regs : unit -> regs
 
-  val accs : regs -> int64 array
-  (* the accumulators PEI maps index; empty on a backend without them *)
+  val acc : regs -> int -> int64
+  (* accumulator [a], which PEI maps index; bounds-checked, and on a
+     backend without accumulators it always raises *)
 
   val compile : (ctx, regs) t -> int -> (ctx, regs) op
   (* Compile one slot. Runs after translation of the current superblock is
@@ -197,9 +584,8 @@ module Make (B : BACKEND) = struct
     t.budget <- t.budget + 1;
     match Tc.pei_at (tc t.ctx) s with
     | Some pei ->
-      let accs = accs t.regs in
       Array.iter
-        (fun (a, r) -> Alpha.Interp.set t.interp r accs.(a))
+        (fun (a, r) -> Alpha.Interp.set t.interp r (acc t.regs a))
         pei.Tcache.acc_map;
       t.interp.pc <- pei.pei_v_pc;
       X_trap_recovered

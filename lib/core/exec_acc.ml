@@ -16,11 +16,15 @@ open Engine
 type insn = I.t
 type ctx = Translate.ctx
 
-type regs = {
-  accs : int64 array;
-  preds : bool array; (* conditional-move predicate flag per accumulator *)
-  scratch : int64 array; (* VM registers 32..63 *)
-}
+(* This backend's register state, one [Bytes.t] of 8-byte native-endian
+   cells: accumulator [a] at offset [8 * a], VM scratch register [g]
+   (32..63) at [scratch_off g], and after them one conditional-move
+   predicate flag byte per accumulator ([pred_off a]). *)
+type regs = Bytes.t
+
+let n_accs = 8
+let scratch_off g = (8 * n_accs) + (8 * (g - 32))
+let pred_off a = (8 * n_accs) + (8 * 32) + a
 
 module Tc = Tcache.Acc
 
@@ -42,32 +46,45 @@ let unwrap : Persist.Snapshot.body -> _ = function
   | B_acc c -> Some c
   | B_straight _ -> None
 
-let regs () =
-  {
-    accs = Array.make 8 0L;
-    preds = Array.make 8 false;
-    scratch = Array.make 32 0L;
-  }
+let regs () = Bytes.make (pred_off n_accs) '\000'
 
-let accs r = r.accs
+(* Bounds-checked register access, for the matched step and the fault
+   path; [t] is the engine. *)
+let check_acc a =
+  if a < 0 || a >= n_accs then invalid_arg "exec_acc: accumulator out of range"
 
-(* Register helpers of the matched step; [t] is the engine. *)
+let acc r a =
+  check_acc a;
+  Bytes.get_int64_ne r (8 * a)
+
+let pred r a =
+  check_acc a;
+  Bytes.get r (pred_off a) <> '\000'
+
+let set_pred r a p =
+  check_acc a;
+  Bytes.set r (pred_off a) (if p then '\001' else '\000')
+
 let get_g t g =
-  if g < 32 then Alpha.Interp.get t.interp g else t.regs.scratch.(g - 32)
+  if g < 32 then Alpha.Interp.get t.interp g
+  else if g < 64 then Bytes.get_int64_ne t.regs (scratch_off g)
+  else invalid_arg "exec_acc: GPR out of range"
 
 let set_g t g v =
   if g < 32 then Alpha.Interp.set t.interp g v
-  else t.regs.scratch.(g - 32) <- v
+  else if g < 64 then Bytes.set_int64_ne t.regs (scratch_off g) v
+  else invalid_arg "exec_acc: GPR out of range"
 
 let src_val t : I.src -> int64 = function
-  | Sacc a -> t.regs.accs.(a)
+  | Sacc a -> acc t.regs a
   | Sgpr g -> get_g t g
   | Simm v -> v
 
 let write_dst t (d : I.dst) v =
   if d.dacc >= 0 then begin
-    t.regs.accs.(d.dacc) <- v;
-    t.regs.preds.(d.dacc) <- false
+    check_acc d.dacc;
+    Bytes.set_int64_ne t.regs (8 * d.dacc) v;
+    set_pred t.regs d.dacc false
   end;
   match d.gdst with Some g -> set_g t g v | None -> ()
 
@@ -75,426 +92,107 @@ let write_dst t (d : I.dst) v =
    the dispatch code misses. *)
 let dispatch_target t = Int64.to_int (get_g t Translate.vr_arg)
 
-(* Memory access specialised to its width, resolved once per compiled
-   slot (and per access in the matched step). *)
-let loader mem (width : I.width) signed : int -> int64 =
-  match width, signed with
-  | W8, _ -> Memory.get_i64 mem
-  | W4, true ->
-    fun a -> Int64.of_int32 (Int64.to_int32 (Int64.of_int (Memory.get_u32 mem a)))
-  | W4, false -> fun a -> Int64.of_int (Memory.get_u32 mem a)
-  | W2, _ -> fun a -> Int64.of_int (Memory.get_u16 mem a)
-  | W1, _ -> fun a -> Int64.of_int (Memory.get_u8 mem a)
-
-let storer mem (width : I.width) : int -> int64 -> unit =
-  match width with
-  | W8 -> Memory.set_i64 mem
-  | W4 -> fun a v -> Memory.set_u32 mem a (Int64.to_int (Int64.logand v 0xffffffffL))
-  | W2 -> fun a v -> Memory.set_u16 mem a (Int64.to_int (Int64.logand v 0xffffL))
-  | W1 -> fun a v -> Memory.set_u8 mem a (Int64.to_int (Int64.logand v 0xffL))
-
 (* Apply the PEI-table accumulator map at a PAL exit: architected values
    still living only in accumulators are written back to the register
    file. *)
-let write_back interp accs map =
-  Array.iter (fun (a, r) -> Alpha.Interp.set interp r accs.(a)) map
+let write_back interp regs map =
+  Array.iter (fun (a, r) -> Alpha.Interp.set interp r (acc regs a)) map
 
 (* ---------- threaded-code slot compilation ---------- *)
 
-(* Compile-time operand and destination shapes. After r31 and bounds
-   resolution every operand is a constant or one (array, index) cell, and
-   every destination is one of four store shapes; the specialized closures
-   built from these touch no variants and allocate nothing at run time. *)
-type loc = L_arr of int64 array * int | L_const of int64
-
-type wshape =
-  | W_acc of int (* accumulator only *)
-  | W_acc_gpr of int * int64 array * int (* accumulator + embedded GPR *)
-  | W_gpr of int64 array * int (* GPR only *)
-  | W_discard (* r31 or no destination at all *)
-
-let check_acc r a =
-  if a < 0 || a >= Array.length r.accs then
-    invalid_arg "exec_acc: accumulator out of range"
+(* Compile-time operand and destination cells (see {!Engine.cell}). Every
+   register, accumulator and predicate number is range-checked here, once
+   per compiled slot, which is what lets the closures access cells
+   unchecked. *)
 
 (* GPR cell; [None] for r31, which reads as zero and discards writes. *)
-let gpr_loc t g =
+let gpr_loc t g : cell option =
   if g < 0 || g > 63 then invalid_arg "exec_acc: GPR out of range";
   if g = Alpha.Reg.zero then None
-  else if g < 32 then Some (t.interp.regs, g)
-  else Some (t.regs.scratch, g - 32)
+  else if g < 32 then Some (t.interp.regs, 8 * g)
+  else Some (t.regs, scratch_off g)
 
-let src_loc t : I.src -> loc = function
-  | Sacc a ->
-    check_acc t.regs a;
-    L_arr (t.regs.accs, a)
-  | Sgpr g -> (
-    match gpr_loc t g with Some (x, i) -> L_arr (x, i) | None -> L_const 0L)
-  | Simm v -> L_const v
+let acc_cell t a : cell =
+  check_acc a;
+  (t.regs, 8 * a)
+
+let src_cell t : I.src -> cell = function
+  | Sacc a -> acc_cell t a
+  | Sgpr g -> ( match gpr_loc t g with Some c -> c | None -> fresh_cell 0L)
+  | Simm v -> fresh_cell v
+
+let gpr_dst t g = match gpr_loc t g with Some c -> D_cell c | None -> D_none
 
 let dst_shape t (d : I.dst) =
-  let acc = d.dacc in
   let gpr = Option.bind d.gdst (gpr_loc t) in
-  if acc >= 0 then begin
-    check_acc t.regs acc;
+  if d.dacc >= 0 then begin
+    let x, i = acc_cell t d.dacc in
     match gpr with
-    | Some (x, i) -> W_acc_gpr (acc, x, i)
-    | None -> W_acc acc
+    | Some c -> D_acc_gpr (x, i, pred_off d.dacc, c)
+    | None -> D_acc (x, i, pred_off d.dacc)
   end
-  else match gpr with Some (x, i) -> W_gpr (x, i) | None -> W_discard
+  else match gpr with Some c -> D_cell c | None -> D_none
 
-(* Closure forms of the shapes, for the generic (cold-ish) arms. *)
-let src_fn t s : unit -> int64 =
-  match src_loc t s with
-  | L_arr (x, i) -> fun () -> Array.unsafe_get x i
-  | L_const v -> fun () -> v
+let load_kind : I.width -> bool -> Engine.load = fun w signed ->
+  match w, signed with
+  | W8, _ -> Ld_q
+  | W4, true -> Ld_l
+  | W4, false -> Ld_lu
+  | W2, _ -> Ld_wu
+  | W1, _ -> Ld_bu
 
-let gpr_set_fn t g : (int64 -> unit) option =
-  match gpr_loc t g with
-  | Some (x, i) -> Some (fun v -> Array.unsafe_set x i v)
-  | None -> None
-
-let dst_fn t (d : I.dst) : int64 -> unit =
-  let accs = t.regs.accs and preds = t.regs.preds in
-  match dst_shape t d with
-  | W_acc acc ->
-    fun v ->
-      Array.unsafe_set accs acc v;
-      Array.unsafe_set preds acc false
-  | W_acc_gpr (acc, x, i) ->
-    fun v ->
-      Array.unsafe_set accs acc v;
-      Array.unsafe_set preds acc false;
-      Array.unsafe_set x i v
-  | W_gpr (x, i) -> fun v -> Array.unsafe_set x i v
-  | W_discard -> fun _ -> ()
+let store_kind : I.width -> Engine.store = function
+  | W8 -> St_q
+  | W4 -> St_l
+  | W2 -> St_w
+  | W1 -> St_b
 
 (* Compile one cache slot to its work closure; per-slot statistics and the
    budget decrement live in the engine's trampoline (plain array reads), so
    the hot path pays exactly one indirect call per executed slot. *)
 let compile (t : (ctx, regs) Engine.t) s : (ctx, regs) op =
   let tc = t.ctx.tc in
-  let insn = Tc.get tc s in
-  let st = t.stats in
   let next = s + 1 in
-  let accs = t.regs.accs and preds = t.regs.preds in
-  match insn with
-  | I.Alu { op; d; a; b } -> (
-    let f = Alpha.Insn.eval_fn op in
-    (* fully flattened: one specialized closure per (destination shape x
-       operand shapes); the hot path is a handful of unchecked array
-       accesses around the pre-matched operator *)
-    match (dst_shape t d, src_loc t a, src_loc t b) with
-    | W_acc acc, L_arr (xa, ia), L_arr (xb, ib) ->
-      fun _ ->
-        Array.unsafe_set accs acc
-          (f (Array.unsafe_get xa ia) (Array.unsafe_get xb ib));
-        Array.unsafe_set preds acc false;
-        next
-    | W_acc acc, L_arr (xa, ia), L_const cb ->
-      fun _ ->
-        Array.unsafe_set accs acc (f (Array.unsafe_get xa ia) cb);
-        Array.unsafe_set preds acc false;
-        next
-    | W_acc acc, L_const ca, L_arr (xb, ib) ->
-      fun _ ->
-        Array.unsafe_set accs acc (f ca (Array.unsafe_get xb ib));
-        Array.unsafe_set preds acc false;
-        next
-    | W_acc acc, L_const ca, L_const cb ->
-      let v = f ca cb in
-      fun _ ->
-        Array.unsafe_set accs acc v;
-        Array.unsafe_set preds acc false;
-        next
-    | W_acc_gpr (acc, xd, id_), L_arr (xa, ia), L_arr (xb, ib) ->
-      fun _ ->
-        let v = f (Array.unsafe_get xa ia) (Array.unsafe_get xb ib) in
-        Array.unsafe_set accs acc v;
-        Array.unsafe_set preds acc false;
-        Array.unsafe_set xd id_ v;
-        next
-    | W_acc_gpr (acc, xd, id_), L_arr (xa, ia), L_const cb ->
-      fun _ ->
-        let v = f (Array.unsafe_get xa ia) cb in
-        Array.unsafe_set accs acc v;
-        Array.unsafe_set preds acc false;
-        Array.unsafe_set xd id_ v;
-        next
-    | W_acc_gpr (acc, xd, id_), L_const ca, L_arr (xb, ib) ->
-      fun _ ->
-        let v = f ca (Array.unsafe_get xb ib) in
-        Array.unsafe_set accs acc v;
-        Array.unsafe_set preds acc false;
-        Array.unsafe_set xd id_ v;
-        next
-    | W_acc_gpr (acc, xd, id_), L_const ca, L_const cb ->
-      let v = f ca cb in
-      fun _ ->
-        Array.unsafe_set accs acc v;
-        Array.unsafe_set preds acc false;
-        Array.unsafe_set xd id_ v;
-        next
-    | W_gpr (xd, id_), L_arr (xa, ia), L_arr (xb, ib) ->
-      fun _ ->
-        Array.unsafe_set xd id_
-          (f (Array.unsafe_get xa ia) (Array.unsafe_get xb ib));
-        next
-    | W_gpr (xd, id_), L_arr (xa, ia), L_const cb ->
-      fun _ ->
-        Array.unsafe_set xd id_ (f (Array.unsafe_get xa ia) cb);
-        next
-    | W_gpr (xd, id_), L_const ca, L_arr (xb, ib) ->
-      fun _ ->
-        Array.unsafe_set xd id_ (f ca (Array.unsafe_get xb ib));
-        next
-    | W_gpr (xd, id_), L_const ca, L_const cb ->
-      let v = f ca cb in
-      fun _ ->
-        Array.unsafe_set xd id_ v;
-        next
-    | W_discard, _, _ -> fun _ -> next)
+  match Tc.get tc s with
+  | I.Alu { op; d; a; b } ->
+    alu op (dst_shape t d) (src_cell t a) (src_cell t b) ~next
   | I.Cmov_test { cond; d; cv; old } ->
-    let c = Alpha.Insn.cond_fn cond in
-    let gcv = src_fn t cv and gold = src_fn t old in
-    let w = dst_fn t d in
-    let da = d.dacc in
-    if da < 0 || da >= Array.length preds then
+    if d.dacc < 0 || d.dacc >= n_accs then
       invalid_arg "exec_acc: cmov-test without an accumulator destination";
-    fun _ ->
-      let p = c (gcv ()) in
-      w (gold ());
-      Array.unsafe_set preds da p;
-      next
+    cmov_test cond (src_cell t cv) (src_cell t old) (dst_shape t d) ~next
   | I.Cmov_sel { d; p; nv } ->
     let pa = match p with I.Sacc a -> a | _ -> assert false in
-    if pa < 0 || pa >= Array.length preds then
+    if pa < 0 || pa >= n_accs then
       invalid_arg "exec_acc: cmov-sel predicate out of range";
-    let gnv = src_fn t nv in
-    let w = dst_fn t d in
-    fun _ ->
-      w (if Array.unsafe_get preds pa then gnv () else Array.unsafe_get accs pa);
-      next
-  | I.Load { width; signed; d; base; disp } -> (
-    let mem = t.interp.mem in
-    let amask = I.bytes_of_width width - 1 in
-    let ld = loader mem width signed in
-    match (dst_shape t d, src_loc t base) with
-    | W_acc acc, L_arr (xb, ib) ->
-      fun t ->
-        let addr =
-          (Int64.to_int (Array.unsafe_get xb ib) + disp) land addr_mask
-        in
-        t.ev_ea <- addr;
-        if addr land amask <> 0 then ret_fault
-        else (
-          match ld addr with
-          | v ->
-            Array.unsafe_set accs acc v;
-            Array.unsafe_set preds acc false;
-            next
-          | exception Memory.Fault _ -> ret_fault)
-    | W_acc_gpr (acc, xd, id_), L_arr (xb, ib) ->
-      fun t ->
-        let addr =
-          (Int64.to_int (Array.unsafe_get xb ib) + disp) land addr_mask
-        in
-        t.ev_ea <- addr;
-        if addr land amask <> 0 then ret_fault
-        else (
-          match ld addr with
-          | v ->
-            Array.unsafe_set accs acc v;
-            Array.unsafe_set preds acc false;
-            Array.unsafe_set xd id_ v;
-            next
-          | exception Memory.Fault _ -> ret_fault)
-    | W_gpr (xd, id_), L_arr (xb, ib) ->
-      fun t ->
-        let addr =
-          (Int64.to_int (Array.unsafe_get xb ib) + disp) land addr_mask
-        in
-        t.ev_ea <- addr;
-        if addr land amask <> 0 then ret_fault
-        else (
-          match ld addr with
-          | v ->
-            Array.unsafe_set xd id_ v;
-            next
-          | exception Memory.Fault _ -> ret_fault)
-    | W_discard, L_arr (xb, ib) ->
-      (* value discarded; address faults must still surface *)
-      fun t ->
-        let addr =
-          (Int64.to_int (Array.unsafe_get xb ib) + disp) land addr_mask
-        in
-        t.ev_ea <- addr;
-        if addr land amask <> 0 then ret_fault
-        else (
-          match ld addr with
-          | _ -> next
-          | exception Memory.Fault _ -> ret_fault)
-    | _, L_const cb ->
-      let addr = (Int64.to_int cb + disp) land addr_mask in
-      let w = dst_fn t d in
-      if addr land amask <> 0 then (fun t ->
-        t.ev_ea <- addr;
-        ret_fault)
-      else
-        fun t ->
-          t.ev_ea <- addr;
-          (match ld addr with
-          | v ->
-            w v;
-            next
-          | exception Memory.Fault _ -> ret_fault))
-  | I.Store { width; value; base; disp } -> (
-    let mem = t.interp.mem in
-    let amask = I.bytes_of_width width - 1 in
-    let st_ = storer mem width in
-    match (src_loc t value, src_loc t base) with
-    | L_arr (xv, iv), L_arr (xb, ib) ->
-      fun t ->
-        let addr =
-          (Int64.to_int (Array.unsafe_get xb ib) + disp) land addr_mask
-        in
-        t.ev_ea <- addr;
-        if addr land amask <> 0 then ret_fault
-        else (
-          match st_ addr (Array.unsafe_get xv iv) with
-          | () -> next
-          | exception Memory.Fault _ -> ret_fault)
-    | L_const cv, L_arr (xb, ib) ->
-      fun t ->
-        let addr =
-          (Int64.to_int (Array.unsafe_get xb ib) + disp) land addr_mask
-        in
-        t.ev_ea <- addr;
-        if addr land amask <> 0 then ret_fault
-        else (
-          match st_ addr cv with
-          | () -> next
-          | exception Memory.Fault _ -> ret_fault)
-    | _, L_const cb ->
-      let gv = src_fn t value in
-      let addr = (Int64.to_int cb + disp) land addr_mask in
-      if addr land amask <> 0 then (fun t ->
-        t.ev_ea <- addr;
-        ret_fault)
-      else
-        fun t ->
-          t.ev_ea <- addr;
-          (match st_ addr (gv ()) with
-          | () -> next
-          | exception Memory.Fault _ -> ret_fault))
-  | I.Copy_to_gpr { g; a } -> (
-    check_acc t.regs a;
-    match gpr_set_fn t g with
-    | Some set ->
-      fun _ ->
-        set (Array.unsafe_get accs a);
-        next
-    | None -> fun _ -> next)
-  | I.Copy_from_gpr { d; g } ->
-    let gr = src_fn t (I.Sgpr g) in
-    let w = dst_fn t d in
-    fun _ ->
-      w (gr ());
-      next
-  | I.Br { target } -> (
+    select (t.regs, pred_off pa) (src_cell t nv) (acc_cell t pa)
+      (dst_shape t d) ~next
+  | I.Load { width; signed; d; base; disp } ->
+    load (load_kind width signed) t.interp.mem (dst_shape t d)
+      (src_cell t base) disp ~next
+  | I.Store { width; value; base; disp } ->
+    store (store_kind width) t.interp.mem (src_cell t value)
+      (src_cell t base) disp ~next
+  | I.Copy_to_gpr { g; a } ->
+    let src = acc_cell t a in
+    move (gpr_dst t g) src ~next
+  | I.Copy_from_gpr { d; g } -> move (dst_shape t d) (src_cell t (Sgpr g)) ~next
+  | I.Br { target } ->
     check_static t ~slot:s target;
-    (* entry status is static: resolve the fragment at compile time *)
-    match Tc.frag_of_entry tc target with
-    | Some f ->
-      fun t ->
-        t.ev_taken <- true;
-        enter_fragment t f;
-        target
-    | None ->
-      fun t ->
-        t.ev_taken <- true;
-        target)
-  | I.Bc { cond; v; target } -> (
+    br ~target (Tc.frag_of_entry tc target)
+  | I.Bc { cond; v; target } ->
     check_static t ~slot:s target;
-    let c = Alpha.Insn.cond_fn cond in
-    match (Tc.frag_of_entry tc target, src_loc t v) with
-    | Some f, L_arr (x, i) ->
-      fun t ->
-        if c (Array.unsafe_get x i) then begin
-          t.ev_taken <- true;
-          enter_fragment t f;
-          target
-        end
-        else next
-    | Some f, L_const cv ->
-      let tk = c cv in
-      fun t ->
-        if tk then begin
-          t.ev_taken <- true;
-          enter_fragment t f;
-          target
-        end
-        else next
-    | None, L_arr (x, i) ->
-      fun t ->
-        if c (Array.unsafe_get x i) then begin
-          t.ev_taken <- true;
-          target
-        end
-        else next
-    | None, L_const cv ->
-      if c cv then (fun t ->
-        t.ev_taken <- true;
-        target)
-      else fun _ -> next)
-  | I.Jmp_ind { v } ->
-    let gv = src_fn t v in
-    fun t ->
-      t.ev_taken <- true;
-      let n = check_slot t (Int64.to_int (gv ())) in
-      enter_dynamic t n;
-      n
-  | I.Lta { d; value } ->
-    let w = dst_fn t d in
-    fun _ ->
-      w value;
-      next
+    bc cond (src_cell t v) ~target (Tc.frag_of_entry tc target) ~next
+  | I.Jmp_ind { v } -> jump (src_cell t v)
+  | I.Lta { d; value } -> move (dst_shape t d) (fresh_cell value) ~next
   | I.Set_vbase _ -> fun _ -> next
-  | I.Push_dras { g; v_ret; i_ret } -> (
-    let vr = Int64.of_int v_ret in
-    let set = match gpr_set_fn t g with Some f -> f | None -> fun _ -> () in
-    match t.ctx.cfg.chaining with
-    | Config.Sw_pred_ras ->
-      (* an unpatched push (return point untranslated at emission time)
-         encodes its missing target as a negative immediate *)
-      let i_opt = if i_ret >= 0 then Some i_ret else None in
-      let dras = t.dras in
-      fun _ ->
-        set vr;
-        Machine.Dual_ras.push dras ~v_addr:v_ret ~i_addr:i_opt;
-        next
-    | Config.No_pred | Config.Sw_pred_no_ras ->
-      fun _ ->
-        set vr;
-        next)
-  | I.Ret_dras { v } ->
-    let gv = src_fn t v in
-    let dras = t.dras in
-    fun t -> (
-      match
-        Machine.Dual_ras.pop_verify dras ~v_actual:(Int64.to_int (gv ()))
-      with
-      | Some i ->
-        st.ret_dras_hits <- st.ret_dras_hits + 1;
-        t.ev_taken <- true;
-        let i = check_slot t i in
-        enter_dynamic t i;
-        i
-      | None ->
-        (* stale/unpatched pair or empty stack: fall through to the
-           dispatch path that follows every dual-RAS return *)
-        st.ret_dras_misses <- st.ret_dras_misses + 1;
-        next)
+  | I.Push_dras { g; v_ret; i_ret } ->
+    push_dras (gpr_dst t g) ~v_ret ~i_ret
+      ~ras:
+        (match t.ctx.cfg.chaining with
+        | Config.Sw_pred_ras -> true
+        | Config.No_pred | Config.Sw_pred_no_ras -> false)
+      ~next
+  | I.Ret_dras { v } -> ret_dras (src_cell t v) ~next
   | I.Call_xlate { exit_id } -> (
     let code = ret_exit exit_id in
     (* architected values still in accumulators (PAL exits) *)
@@ -502,24 +200,17 @@ let compile (t : (ctx, regs) Engine.t) s : (ctx, regs) op =
     | Some pei ->
       let map = pei.Tcache.acc_map in
       fun t ->
-        write_back t.interp accs map;
+        write_back t.interp t.regs map;
         code
     | None -> fun _ -> code)
   | I.Call_xlate_cond { cond; v; exit_id } ->
-    let c = Alpha.Insn.cond_fn cond in
-    let gv = src_fn t v in
-    let code = ret_exit exit_id in
-    fun t ->
-      if c (gv ()) then begin
-        t.ev_taken <- true;
-        code
-      end
-      else next
+    exit_if cond (src_cell t v) ~code:(ret_exit exit_id) ~next
 
 (* ---------- matched (instrumented) engine: one slot ---------- *)
 
 let step (t : (ctx, regs) Engine.t) s =
   let r = t.regs in
+  let mem = t.interp.mem in
   let next = s + 1 in
   match Tc.get t.ctx.tc s with
   | I.Alu { op; d; a; b } ->
@@ -528,18 +219,24 @@ let step (t : (ctx, regs) Engine.t) s =
   | I.Cmov_test { cond; d; cv; old } ->
     let p = Alpha.Insn.cond_true cond (src_val t cv) in
     write_dst t d (src_val t old);
-    r.preds.(d.dacc) <- p;
+    set_pred r d.dacc p;
     next
   | I.Cmov_sel { d; p; nv } ->
     let pa = match p with I.Sacc a -> a | _ -> assert false in
-    write_dst t d (if r.preds.(pa) then src_val t nv else r.accs.(pa));
+    write_dst t d (if pred r pa then src_val t nv else acc r pa);
     next
   | I.Load { width; signed; d; base; disp } ->
     let addr = (Int64.to_int (src_val t base) + disp) land addr_mask in
     t.ev_ea <- addr;
     if addr land (I.bytes_of_width width - 1) <> 0 then ret_fault
     else begin
-      write_dst t d (loader t.interp.mem width signed addr);
+      write_dst t d
+        (match width, signed with
+        | W8, _ -> Memory.get_i64 mem addr
+        | W4, true -> Int64.of_int32 (Int32.of_int (Memory.get_u32 mem addr))
+        | W4, false -> Int64.of_int (Memory.get_u32 mem addr)
+        | W2, _ -> Int64.of_int (Memory.get_u16 mem addr)
+        | W1, _ -> Int64.of_int (Memory.get_u8 mem addr));
       next
     end
   | I.Store { width; value; base; disp } ->
@@ -547,11 +244,17 @@ let step (t : (ctx, regs) Engine.t) s =
     t.ev_ea <- addr;
     if addr land (I.bytes_of_width width - 1) <> 0 then ret_fault
     else begin
-      storer t.interp.mem width addr (src_val t value);
+      let v = src_val t value in
+      (* the narrow setters store the value's low bytes *)
+      (match width with
+      | W8 -> Memory.set_i64 mem addr v
+      | W4 -> Memory.set_u32 mem addr (Int64.to_int v)
+      | W2 -> Memory.set_u16 mem addr (Int64.to_int v)
+      | W1 -> Memory.set_u8 mem addr (Int64.to_int v));
       next
     end
   | I.Copy_to_gpr { g; a } ->
-    set_g t g r.accs.(a);
+    set_g t g (acc r a);
     next
   | I.Copy_from_gpr { d; g } ->
     write_dst t d (get_g t g);
@@ -597,7 +300,7 @@ let step (t : (ctx, regs) Engine.t) s =
   | I.Call_xlate { exit_id } ->
     (* architected values still in accumulators (PAL exits) *)
     (match Tc.pei_at t.ctx.tc s with
-    | Some pei -> write_back t.interp r.accs pei.acc_map
+    | Some pei -> write_back t.interp r pei.acc_map
     | None -> ());
     ret_exit exit_id
   | I.Call_xlate_cond { cond; v; exit_id } ->

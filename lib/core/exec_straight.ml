@@ -36,294 +36,94 @@ let unwrap : Persist.Snapshot.body -> _ = function
   | B_acc _ -> None
 
 let regs () = ()
-let accs () = [||]
+let acc () _ = invalid_arg "exec_straight: no accumulators"
 
 (* Dynamic dispatch-miss target lives in GP by convention. *)
 let dispatch_target t = Int64.to_int (Alpha.Interp.get t.interp Straighten.gp)
 
 (* ---------- threaded-code slot compilation ---------- *)
 
-(* Compile-time operand location: r31 reads as zero and discards writes,
-   every other register is a direct cell of the shared register array. *)
-type loc = L_reg of int | L_const of int64
-
+(* Compile-time operand cells (see {!Engine.cell}): register [r] of the
+   shared architected file, range-checked here once per compiled slot. r31
+   reads as zero and discards writes. *)
 let check_reg r =
   if r < 0 || r > 31 then invalid_arg "exec_straight: register out of range"
 
-let reg_loc r =
+let reg_cell t r : cell =
   check_reg r;
-  if r = Alpha.Reg.zero then L_const 0L else L_reg r
+  if r = Alpha.Reg.zero then fresh_cell 0L else (t.interp.regs, 8 * r)
 
-let operand_loc = function
-  | A.Rb r -> reg_loc r
-  | A.Imm i -> L_const (Int64.of_int i)
+let operand_cell t = function
+  | A.Rb r -> reg_cell t r
+  | A.Imm i -> fresh_cell (Int64.of_int i)
 
-(* Write cell; [None] when the write is architecturally discarded. *)
-let wreg_loc r =
+let reg_dst t r =
   check_reg r;
-  if r = Alpha.Reg.zero then None else Some r
+  if r = Alpha.Reg.zero then D_none else D_cell (t.interp.regs, 8 * r)
 
-(* Closure forms, for the generic arms. *)
-let loc_fn regs : loc -> unit -> int64 = function
-  | L_reg i -> fun () -> Array.unsafe_get regs i
-  | L_const v -> fun () -> v
+let load_kind : A.mem_op -> Engine.load = function
+  | Ldq -> Ld_q
+  | Ldl -> Ld_l
+  | Ldwu -> Ld_wu
+  | _ -> Ld_bu
 
-let get_fn t r = loc_fn t.interp.regs (reg_loc r)
-
-let set_fn t r : (int64 -> unit) option =
-  match wreg_loc r with
-  | None -> None
-  | Some i ->
-    let regs = t.interp.regs in
-    Some (fun v -> Array.unsafe_set regs i v)
-
-let wr_fn t r : int64 -> unit =
-  match set_fn t r with Some f -> f | None -> fun _ -> ()
-
-(* Alignment mask and width-specialised access of a memory opcode,
-   resolved once per compiled slot (and per access in the matched step). *)
-let amask_of : A.mem_op -> int = function
-  | Ldq | Stq -> 7
-  | Ldl | Stl -> 3
-  | Ldwu | Stw -> 1
-  | _ -> 0
-
-let loader mem : A.mem_op -> int -> int64 = function
-  | Ldq -> Memory.get_i64 mem
-  | Ldl ->
-    fun a -> Int64.of_int32 (Int64.to_int32 (Int64.of_int (Memory.get_u32 mem a)))
-  | Ldwu -> fun a -> Int64.of_int (Memory.get_u16 mem a)
-  | _ -> fun a -> Int64.of_int (Memory.get_u8 mem a)
-
-let storer mem : A.mem_op -> int -> int64 -> unit = function
-  | Stq -> Memory.set_i64 mem
-  | Stl -> fun a v -> Memory.set_u32 mem a (Int64.to_int (Int64.logand v 0xffffffffL))
-  | Stw -> fun a v -> Memory.set_u16 mem a (Int64.to_int (Int64.logand v 0xffffL))
-  | _ -> fun a v -> Memory.set_u8 mem a (Int64.to_int (Int64.logand v 0xffL))
+let store_kind : A.mem_op -> Engine.store = function
+  | Stq -> St_q
+  | Stl -> St_l
+  | Stw -> St_w
+  | _ -> St_b
 
 (* Compile one cache slot to its work closure (see Exec_acc). *)
 let compile (t : (ctx, regs) Engine.t) s : (ctx, regs) op =
   let tc = t.ctx.tc in
   let insn = Tc.get tc s in
-  let st = t.stats in
   let next = s + 1 in
-  let regs = t.interp.regs in
+  let mem = t.interp.mem in
   match insn with
-  | A.Mem (((Lda | Ldah) as op), ra, disp, rb) -> (
-    let d =
-      Int64.of_int (match op with Ldah -> disp * 65536 | _ -> disp)
-    in
-    match (wreg_loc ra, reg_loc rb) with
-    | None, _ -> fun _ -> next
-    | Some ia, L_reg ib ->
-      fun _ ->
-        Array.unsafe_set regs ia (Int64.add (Array.unsafe_get regs ib) d);
-        next
-    | Some ia, L_const cb ->
-      let v = Int64.add cb d in
-      fun _ ->
-        Array.unsafe_set regs ia v;
-        next)
-  | A.Mem (((Ldq | Ldl | Ldwu | Ldbu) as op), ra, disp, rb) -> (
-    let amask = amask_of op and ld = loader t.interp.mem op in
-    match (wreg_loc ra, reg_loc rb) with
-    | Some ia, L_reg ib ->
-      fun t ->
-        let addr =
-          (Int64.to_int (Array.unsafe_get regs ib) + disp) land addr_mask
-        in
-        t.ev_ea <- addr;
-        if addr land amask <> 0 then ret_fault
-        else (
-          match ld addr with
-          | v ->
-            Array.unsafe_set regs ia v;
-            next
-          | exception Memory.Fault _ -> ret_fault)
-    | dst, base ->
-      (* rare shapes (zero base / discarded destination); faults and
-         alignment checks must still surface *)
-      let gb = loc_fn regs base in
-      let w =
-        match dst with
-        | Some i -> fun v -> Array.unsafe_set regs i v
-        | None -> fun _ -> ()
-      in
-      fun t ->
-        let addr = (Int64.to_int (gb ()) + disp) land addr_mask in
-        t.ev_ea <- addr;
-        if addr land amask <> 0 then ret_fault
-        else (
-          match ld addr with
-          | v ->
-            w v;
-            next
-          | exception Memory.Fault _ -> ret_fault))
-  | A.Mem (((Stq | Stl | Stw | Stb) as op), ra, disp, rb) -> (
-    let amask = amask_of op and st_ = storer t.interp.mem op in
-    match (reg_loc ra, reg_loc rb) with
-    | L_reg iv, L_reg ib ->
-      fun t ->
-        let addr =
-          (Int64.to_int (Array.unsafe_get regs ib) + disp) land addr_mask
-        in
-        t.ev_ea <- addr;
-        if addr land amask <> 0 then ret_fault
-        else (
-          match st_ addr (Array.unsafe_get regs iv) with
-          | () -> next
-          | exception Memory.Fault _ -> ret_fault)
-    | value, base ->
-      let gv = loc_fn regs value and gb = loc_fn regs base in
-      fun t ->
-        let addr = (Int64.to_int (gb ()) + disp) land addr_mask in
-        t.ev_ea <- addr;
-        if addr land amask <> 0 then ret_fault
-        else (
-          match st_ addr (gv ()) with
-          | () -> next
-          | exception Memory.Fault _ -> ret_fault))
-  | A.Opr (op, ra, operand, rc) -> (
+  | A.Mem (((Lda | Ldah) as op), ra, disp, rb) ->
+    let d = Int64.of_int (match op with Ldah -> disp * 65536 | _ -> disp) in
+    alu Addq (reg_dst t ra) (reg_cell t rb) (fresh_cell d) ~next
+  | A.Mem (((Ldq | Ldl | Ldwu | Ldbu) as op), ra, disp, rb) ->
+    load (load_kind op) mem (reg_dst t ra) (reg_cell t rb) disp ~next
+  | A.Mem (((Stq | Stl | Stw | Stb) as op), ra, disp, rb) ->
+    store (store_kind op) mem (reg_cell t ra) (reg_cell t rb) disp ~next
+  | A.Opr (op, ra, operand, rc) ->
     if A.is_cmov insn then
-      let c = Alpha.Insn.cond_fn (A.cmov_cond op) in
-      let gra = get_fn t ra in
-      let gb = loc_fn regs (operand_loc operand) in
-      match wreg_loc rc with
-      | None -> fun _ -> next
-      | Some ic ->
-        fun _ ->
-          if c (gra ()) then Array.unsafe_set regs ic (gb ());
-          next
-    else
-      let f = Alpha.Insn.eval_fn op in
-      match (wreg_loc rc, reg_loc ra, operand_loc operand) with
-      | None, _, _ -> fun _ -> next
-      | Some ic, L_reg ia, L_reg ib ->
-        fun _ ->
-          Array.unsafe_set regs ic
-            (f (Array.unsafe_get regs ia) (Array.unsafe_get regs ib));
-          next
-      | Some ic, L_reg ia, L_const cb ->
-        fun _ ->
-          Array.unsafe_set regs ic (f (Array.unsafe_get regs ia) cb);
-          next
-      | Some ic, L_const ca, L_reg ib ->
-        fun _ ->
-          Array.unsafe_set regs ic (f ca (Array.unsafe_get regs ib));
-          next
-      | Some ic, L_const ca, L_const cb ->
-        let v = f ca cb in
-        fun _ ->
-          Array.unsafe_set regs ic v;
-          next)
-  | A.Br (_, target) -> (
+      cmov (A.cmov_cond op) (reg_cell t ra) (operand_cell t operand)
+        (reg_dst t rc) ~next
+    else alu op (reg_dst t rc) (reg_cell t ra) (operand_cell t operand) ~next
+  | A.Br (_, target) ->
     check_static t ~slot:s target;
-    match Tc.frag_of_entry tc target with
-    | Some f ->
-      fun t ->
-        t.ev_taken <- true;
-        enter_fragment t f;
-        target
-    | None ->
-      fun t ->
-        t.ev_taken <- true;
-        target)
-  | A.Bc (c, ra, target) -> (
+    br ~target (Tc.frag_of_entry tc target)
+  | A.Bc (c, ra, target) ->
     check_static t ~slot:s target;
-    let cf = Alpha.Insn.cond_fn c in
-    match (Tc.frag_of_entry tc target, reg_loc ra) with
-    | Some f, L_reg ia ->
-      fun t ->
-        if cf (Array.unsafe_get regs ia) then begin
-          t.ev_taken <- true;
-          enter_fragment t f;
-          target
-        end
-        else next
-    | Some f, L_const cv ->
-      let tk = cf cv in
-      fun t ->
-        if tk then begin
-          t.ev_taken <- true;
-          enter_fragment t f;
-          target
-        end
-        else next
-    | None, L_reg ia ->
-      fun t ->
-        if cf (Array.unsafe_get regs ia) then begin
-          t.ev_taken <- true;
-          target
-        end
-        else next
-    | None, L_const cv ->
-      if cf cv then (fun t ->
-        t.ev_taken <- true;
-        target)
-      else fun _ -> next)
-  | A.Jump (_, _, rb) ->
-    let grb = get_fn t rb in
-    fun t ->
-      t.ev_taken <- true;
-      let n = check_slot t (Int64.to_int (grb ())) in
-      enter_dynamic t n;
-      n
-  | A.Lta (ra, v) ->
-    let w = wr_fn t ra in
-    let v = Int64.of_int v in
-    fun _ ->
-      w v;
-      next
+    bc c (reg_cell t ra) ~target (Tc.frag_of_entry tc target) ~next
+  | A.Jump (_, _, rb) -> jump (reg_cell t rb)
+  | A.Lta (ra, v) -> move (reg_dst t ra) (fresh_cell (Int64.of_int v)) ~next
   | A.Push_dras (ra, v_ret, i_ret) ->
-    let w = wr_fn t ra in
-    let vr = Int64.of_int v_ret in
-    (match t.ctx.cfg.chaining with
-    | Config.Sw_pred_ras ->
-      (* negative [i_ret]: unpatched push, return point untranslated *)
-      let i_opt = if i_ret >= 0 then Some i_ret else None in
-      let dras = t.dras in
-      fun _ ->
-        w vr;
-        Machine.Dual_ras.push dras ~v_addr:v_ret ~i_addr:i_opt;
-        next
-    | Config.No_pred | Config.Sw_pred_no_ras ->
-      fun _ ->
-        w vr;
-        next)
-  | A.Ret_dras rb ->
-    let grb = get_fn t rb in
-    let dras = t.dras in
-    fun t -> (
-      match
-        Machine.Dual_ras.pop_verify dras ~v_actual:(Int64.to_int (grb ()))
-      with
-      | Some i ->
-        st.ret_dras_hits <- st.ret_dras_hits + 1;
-        t.ev_taken <- true;
-        let i = check_slot t i in
-        enter_dynamic t i;
-        i
-      | None ->
-        st.ret_dras_misses <- st.ret_dras_misses + 1;
-        next)
+    push_dras (reg_dst t ra) ~v_ret ~i_ret
+      ~ras:
+        (match t.ctx.cfg.chaining with
+        | Config.Sw_pred_ras -> true
+        | Config.No_pred | Config.Sw_pred_no_ras -> false)
+      ~next
+  | A.Ret_dras rb -> ret_dras (reg_cell t rb) ~next
   | A.Set_vbase _ -> fun _ -> next
   | A.Call_xlate exit_id ->
     let code = ret_exit exit_id in
     fun _ -> code
   | A.Call_xlate_cond (c, ra, exit_id) ->
-    let cf = Alpha.Insn.cond_fn c in
-    let gra = get_fn t ra in
-    let code = ret_exit exit_id in
-    fun t ->
-      if cf (gra ()) then begin
-        t.ev_taken <- true;
-        code
-      end
-      else next
+    exit_if c (reg_cell t ra) ~code:(ret_exit exit_id) ~next
   | A.Bsr _ | A.Call_pal _ ->
     fun _ -> failwith "exec_straight: untranslatable instruction in cache"
 
 (* ---------- matched (instrumented) engine: one slot ---------- *)
+
+let amask_of : A.mem_op -> int = function
+  | Ldq | Stq -> 7
+  | Ldl | Stl -> 3
+  | Ldwu | Stw -> 1
+  | _ -> 0
 
 let step (t : (ctx, regs) Engine.t) s =
   let get r = Alpha.Interp.get t.interp r in
@@ -337,13 +137,23 @@ let step (t : (ctx, regs) Engine.t) s =
   | A.Mem (Ldah, ra, disp, rb) ->
     set ra (Int64.add (get rb) (Int64.of_int (disp * 65536)));
     next
-  | A.Mem (op, ra, disp, rb) as insn ->
+  | A.Mem (op, ra, disp, rb) ->
     let addr = (Int64.to_int (get rb) + disp) land addr_mask in
     t.ev_ea <- addr;
     if addr land amask_of op <> 0 then ret_fault
     else begin
-      if A.is_load insn then set ra (loader mem op addr)
-      else storer mem op addr (get ra);
+      (* the narrow setters store the value's low bytes *)
+      (match op with
+      | Ldq -> set ra (Memory.get_i64 mem addr)
+      | Ldl ->
+        set ra (Int64.of_int32 (Int32.of_int (Memory.get_u32 mem addr)))
+      | Ldwu -> set ra (Int64.of_int (Memory.get_u16 mem addr))
+      | Ldbu -> set ra (Int64.of_int (Memory.get_u8 mem addr))
+      | Stq -> Memory.set_i64 mem addr (get ra)
+      | Stl -> Memory.set_u32 mem addr (Int64.to_int (get ra))
+      | Stw -> Memory.set_u16 mem addr (Int64.to_int (get ra))
+      | Stb -> Memory.set_u8 mem addr (Int64.to_int (get ra))
+      | Lda | Ldah -> assert false);
       next
     end
   | A.Opr (op, ra, operand, rc) as insn ->

@@ -134,7 +134,11 @@ let run_load ?(sessions = 1000) ?(images = 4) ?(tenants = 4) ?(scale = 1)
     ?(on_progress = fun _ -> ()) () =
   let cfg = Core.Config.default in
   let pool = image_pool () in
-  let images = max 1 (min images (List.length pool)) in
+  (* only images some session requests get built: with fewer sessions
+     than images, the single-flight count is one build per session *)
+  let images =
+    max 1 (List.fold_left Int.min images [ sessions; List.length pool ])
+  in
   let refs =
     List.filteri (fun i _ -> i < images) pool
     |> List.map (reference ~cfg ~scale ~fuel)

@@ -6,6 +6,12 @@
    precise memory trap. This gives us a realistic "unmapped page" trap source
    for the precise-trap experiments.
 
+   The chunks live in a flat page table indexed by chunk number, sized by the
+   highest mapped chunk (about 260 entries for every guest: the dispatch
+   table sits at 16 MiB). An unmapped chunk, inside the table or above it,
+   is the [unmapped] sentinel, so a lookup is one bounds test and one array
+   read: no hashing, no comparison, no allocation.
+
    Mapping is copy-on-write: a freshly mapped chunk points at the shared,
    never-written [zero_chunk] and gets private backing on its first store.
    A VM maps ~88 chunks (heap, stack, dispatch table) of which a short
@@ -17,155 +23,165 @@ let chunk_size = 1 lsl chunk_bits
 exception Fault of int
 (** [Fault addr] is raised on any access to an unmapped address. *)
 
-type t = {
-  chunks : (int, Bytes.t) Hashtbl.t;
-  mutable reads : int;  (* accounting, used by tests *)
-  mutable writes : int;
-  (* Optional write-set tracking: when [track_dirty] is on, every store
-     records its chunk index in [dirty]. Off by default so the hot
-     simulation path pays only a branch; the differential oracle turns it
-     on to confine per-boundary memory comparison to written pages. *)
-  mutable track_dirty : bool;
-  dirty : (int, unit) Hashtbl.t;
-}
-
-let create () =
-  {
-    chunks = Hashtbl.create 64;
-    reads = 0;
-    writes = 0;
-    track_dirty = false;
-    dirty = Hashtbl.create 16;
-  }
+(* The page of every unmapped chunk. Empty, so it can never be mistaken for
+   (or written as) a real page. *)
+let unmapped = Bytes.create 0
 
 (* Backing of every mapped chunk that has not been stored to since it was
    mapped or zeroed. Shared by all memories in the process; never written. *)
 let zero_chunk = Bytes.make chunk_size '\000'
 
+type t = {
+  mutable pages : Bytes.t array; (* chunk index -> backing or [unmapped] *)
+  (* Optional write-set tracking: when [track_dirty] is on, every store
+     sets its chunk's flag in [dirty] (one byte per page-table entry). Off
+     by default so the hot simulation path pays only a branch; the
+     differential oracle turns it on to confine per-boundary memory
+     comparison to written pages. *)
+  mutable dirty : Bytes.t;
+  mutable track_dirty : bool;
+}
+
+let create () = { pages = [||]; dirty = Bytes.empty; track_dirty = false }
+
 let copy t =
-  let chunks = Hashtbl.create (Hashtbl.length t.chunks) in
-  Hashtbl.iter
-    (fun k v ->
-      Hashtbl.replace chunks k (if v == zero_chunk then v else Bytes.copy v))
-    t.chunks;
   {
-    chunks;
-    reads = t.reads;
-    writes = t.writes;
+    pages =
+      Array.map
+        (fun p -> if p == zero_chunk || p == unmapped then p else Bytes.copy p)
+        t.pages;
+    dirty = Bytes.copy t.dirty;
     track_dirty = t.track_dirty;
-    dirty = Hashtbl.copy t.dirty;
   }
 
 let set_dirty_tracking t on = t.track_dirty <- on
-let clear_dirty t = Hashtbl.reset t.dirty
+let clear_dirty t = Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'
 
-let dirty_chunks t =
-  Hashtbl.fold (fun c () acc -> c :: acc) t.dirty [] |> List.sort Int.compare
+(* Chunk indices [c] in ascending order for which [p c] holds. *)
+let chunks_where t p =
+  let acc = ref [] in
+  for c = Array.length t.pages - 1 downto 0 do
+    if p c then acc := c :: !acc
+  done;
+  !acc
 
-let chunk_bytes t c = Hashtbl.find_opt t.chunks c
+let dirty_chunks t = chunks_where t (fun c -> Bytes.get t.dirty c <> '\000')
+let mapped_chunks t = chunks_where t (fun c -> t.pages.(c) != unmapped)
 
-let mark t addr =
-  if t.track_dirty then Hashtbl.replace t.dirty (addr lsr chunk_bits) ()
+let chunk_bytes t c =
+  if c >= 0 && c < Array.length t.pages && t.pages.(c) != unmapped then
+    Some t.pages.(c)
+  else None
+
+(* The page of [addr], or [unmapped]. A negative address shifts to a huge
+   chunk index, above the table. *)
+let page t addr =
+  let c = addr lsr chunk_bits in
+  let pages = t.pages in
+  if c < Array.length pages then Array.unsafe_get pages c else unmapped
+
+(* The store path: a chunk still backed by [zero_chunk] is given a private
+   zeroed copy before the write lands; the chunk is dirtied. *)
+let wpage t addr =
+  let c = addr lsr chunk_bits in
+  let pages = t.pages in
+  if c >= Array.length pages then unmapped
+  else begin
+    let p = Array.unsafe_get pages c in
+    if p == unmapped then p
+    else begin
+      if t.track_dirty then Bytes.unsafe_set t.dirty c '\001';
+      if p != zero_chunk then p
+      else begin
+        let b = Bytes.make chunk_size '\000' in
+        Array.unsafe_set pages c b;
+        b
+      end
+    end
+  end
 
 (* Map every chunk overlapping [addr, addr+len). Freshly mapped chunks share
-   [zero_chunk]. Mapping an already-mapped chunk is a no-op. *)
+   [zero_chunk]. Mapping an already-mapped chunk is a no-op. The page table
+   grows to the highest chunk mapped. *)
 let map t ~addr ~len =
   if len > 0 then begin
     let first = addr lsr chunk_bits and last = (addr + len - 1) lsr chunk_bits in
+    let n = Array.length t.pages in
+    if last >= n then begin
+      let pages = Array.make (last + 1) unmapped in
+      Array.blit t.pages 0 pages 0 n;
+      let dirty = Bytes.make (last + 1) '\000' in
+      Bytes.blit t.dirty 0 dirty 0 n;
+      t.pages <- pages;
+      t.dirty <- dirty
+    end;
     for c = first to last do
-      if not (Hashtbl.mem t.chunks c) then Hashtbl.replace t.chunks c zero_chunk
+      if t.pages.(c) == unmapped then t.pages.(c) <- zero_chunk
     done
   end
 
-let is_mapped t addr = Hashtbl.mem t.chunks (addr lsr chunk_bits)
+let is_mapped t addr = page t addr != unmapped
 
 let chunk_of t addr =
-  match Hashtbl.find_opt t.chunks (addr lsr chunk_bits) with
-  | Some b -> b
-  | None -> raise (Fault addr)
+  let p = page t addr in
+  if p == unmapped then raise (Fault addr) else p
 
-(* The store path: a chunk still backed by [zero_chunk] is given a private
-   zeroed copy before the write lands. *)
 let wchunk_of t addr =
-  let c = addr lsr chunk_bits in
-  match Hashtbl.find_opt t.chunks c with
-  | Some b when b != zero_chunk -> b
-  | Some _ ->
-    let b = Bytes.make chunk_size '\000' in
-    Hashtbl.replace t.chunks c b;
-    b
-  | None -> raise (Fault addr)
+  let p = wpage t addr in
+  if p == unmapped then raise (Fault addr) else p
 
 (* Single-byte accessors; multi-byte accessors decompose at chunk borders
    (rare) and use fast Bytes primitives within a chunk. *)
 
 let get_u8 t addr =
-  t.reads <- t.reads + 1;
   Char.code (Bytes.unsafe_get (chunk_of t addr) (addr land (chunk_size - 1)))
 
 let set_u8 t addr v =
-  t.writes <- t.writes + 1;
-  mark t addr;
   Bytes.unsafe_set (wchunk_of t addr) (addr land (chunk_size - 1))
     (Char.unsafe_chr (v land 0xff))
 
 let in_chunk addr width = addr land (chunk_size - 1) <= chunk_size - width
 
 let get_u16 t addr =
-  if in_chunk addr 2 then begin
-    t.reads <- t.reads + 1;
+  if in_chunk addr 2 then
     Bytes.get_uint16_le (chunk_of t addr) (addr land (chunk_size - 1))
-  end
   else get_u8 t addr lor (get_u8 t (addr + 1) lsl 8)
 
 let set_u16 t addr v =
-  if in_chunk addr 2 then begin
-    t.writes <- t.writes + 1;
-    mark t addr;
+  if in_chunk addr 2 then
     Bytes.set_uint16_le (wchunk_of t addr) (addr land (chunk_size - 1))
       (v land 0xffff)
-  end
   else begin
     set_u8 t addr v;
     set_u8 t (addr + 1) (v lsr 8)
   end
 
 let get_u32 t addr =
-  if in_chunk addr 4 then begin
-    t.reads <- t.reads + 1;
+  if in_chunk addr 4 then
     Int32.to_int (Bytes.get_int32_le (chunk_of t addr) (addr land (chunk_size - 1)))
     land 0xffffffff
-  end
   else get_u16 t addr lor (get_u16 t (addr + 2) lsl 16)
 
 let set_u32 t addr v =
-  if in_chunk addr 4 then begin
-    t.writes <- t.writes + 1;
-    mark t addr;
+  if in_chunk addr 4 then
     Bytes.set_int32_le (wchunk_of t addr) (addr land (chunk_size - 1))
       (Int32.of_int (v land 0xffffffff))
-  end
   else begin
     set_u16 t addr v;
     set_u16 t (addr + 2) (v lsr 16)
   end
 
 let get_i64 t addr =
-  if in_chunk addr 8 then begin
-    t.reads <- t.reads + 1;
+  if in_chunk addr 8 then
     Bytes.get_int64_le (chunk_of t addr) (addr land (chunk_size - 1))
-  end
   else
     Int64.logor
       (Int64.of_int (get_u32 t addr))
       (Int64.shift_left (Int64.of_int (get_u32 t (addr + 4))) 32)
 
 let set_i64 t addr v =
-  if in_chunk addr 8 then begin
-    t.writes <- t.writes + 1;
-    mark t addr;
+  if in_chunk addr 8 then
     Bytes.set_int64_le (wchunk_of t addr) (addr land (chunk_size - 1)) v
-  end
   else begin
     set_u32 t addr (Int64.to_int (Int64.logand v 0xffffffffL));
     set_u32 t (addr + 4) (Int64.to_int (Int64.shift_right_logical v 32))
@@ -188,19 +204,17 @@ let iter_segments ~addr ~len f =
    place, unless it is still [zero_chunk]. *)
 let fill_zero t ~addr ~len =
   iter_segments ~addr ~len (fun a off n ->
-      mark t a;
-      match Hashtbl.find_opt t.chunks (a lsr chunk_bits) with
-      | None -> raise (Fault a)
-      | Some _ when n = chunk_size ->
-        Hashtbl.replace t.chunks (a lsr chunk_bits) zero_chunk
-      | Some b -> if b != zero_chunk then Bytes.fill b off n '\000')
+      let p = page t a in
+      if p == unmapped then raise (Fault a);
+      let c = a lsr chunk_bits in
+      if t.track_dirty then Bytes.set t.dirty c '\001';
+      if n = chunk_size then t.pages.(c) <- zero_chunk
+      else if p != zero_chunk then Bytes.fill p off n '\000')
 
 (* Bulk write used by the program loader: one blit per chunk segment. *)
 let blit_string t ~addr s =
   iter_segments ~addr ~len:(String.length s) (fun a off n ->
-      mark t a;
-      Bytes.blit_string s (a - addr) (wchunk_of t a) off n;
-      t.writes <- t.writes + n)
+      Bytes.blit_string s (a - addr) (wchunk_of t a) off n)
 
 (* FNV-1a checksum over a mapped range; used by tests to compare final memory
    images between execution modes. *)

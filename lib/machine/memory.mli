@@ -12,17 +12,15 @@
 exception Fault of int
 (** [Fault addr] is raised on any access to an unmapped address. *)
 
-type t = {
-  chunks : (int, Bytes.t) Hashtbl.t;
-  mutable reads : int;  (** access accounting, used by tests *)
-  mutable writes : int;
-  mutable track_dirty : bool;  (** when on, stores record their chunk *)
-  dirty : (int, unit) Hashtbl.t;
-}
+type t
+(** A memory: a flat page table of 64 KiB chunks, sized by the highest
+    chunk mapped, plus a per-chunk dirty flag. *)
 
 val chunk_bits : int
 (** log2 of the chunk (page) size; chunk index of address [a] is
     [a lsr chunk_bits]. *)
+
+val chunk_size : int
 
 val create : unit -> t
 
@@ -42,6 +40,24 @@ val chunk_bytes : t -> int -> Bytes.t option
 (** Backing bytes of a chunk by index, if mapped. Treat as read-only: a
     chunk never stored to returns the shared zero chunk, and writing into it
     corrupts every memory, of every VM, in the process. *)
+
+val mapped_chunks : t -> int list
+(** Indices of every mapped chunk, ascending. *)
+
+val unmapped : Bytes.t
+(** The page {!page} and {!wpage} return for an unmapped address: empty,
+    and compared by physical equality. *)
+
+val page : t -> int -> Bytes.t
+(** [page m addr] is the backing of [addr]'s chunk, to read from at offset
+    [addr land (chunk_size - 1)], or {!unmapped}. Allocates nothing; the
+    translated-code engine calls it on every load. Treat as read-only, as
+    {!chunk_bytes}. *)
+
+val wpage : t -> int -> Bytes.t
+(** [wpage m addr] is [addr]'s chunk made private and writable (a chunk
+    still backed by the zero chunk gets its own zeroed copy first) and
+    dirtied, or {!unmapped}. The engine's store path. *)
 
 val copy : t -> t
 (** Behaves as a deep copy (used by tests to snapshot a memory image): a
@@ -64,7 +80,8 @@ val set_u32 : t -> int -> int -> unit
 val get_i64 : t -> int -> int64
 val set_i64 : t -> int -> int64 -> unit
 (** Little-endian accessors of each width. Multi-byte accesses may straddle
-    chunk boundaries. All raise {!Fault} on unmapped addresses. *)
+    chunk boundaries. All raise {!Fault} on unmapped addresses, an address
+    above the highest mapped chunk included. *)
 
 val fill_zero : t -> addr:int -> len:int -> unit
 (** Zero a mapped range (used when the VM flushes its dispatch table).

@@ -152,8 +152,8 @@ let diff_live ?(except = default_except) ?(is_private = fun _ -> false)
       List.sort_uniq compare
         (Memory.dirty_chunks got.mem @ Memory.dirty_chunks want.mem)
     | `Full ->
-      let keys m = Hashtbl.fold (fun c _ acc -> c :: acc) m.Memory.chunks [] in
-      List.sort_uniq compare (keys got.mem @ keys want.mem)
+      List.sort_uniq compare
+        (Memory.mapped_chunks got.mem @ Memory.mapped_chunks want.mem)
   in
   let mem_ms =
     (* report only the first divergent byte — one is enough to localize *)

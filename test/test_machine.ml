@@ -176,6 +176,111 @@ let test_mem_blit_straddle () =
   Memory.blit_string m ~addr:5 "";
   check Alcotest.int "empty blit writes nothing" 0 (Memory.get_u8 m 5)
 
+(* The page table is sized by the highest mapped chunk. An address above
+   it, one in a hole below it, and the top of the engine's address mask
+   all fault on every width, and the engine's page accessors return the
+   unmapped page there. *)
+let test_mem_page_table_faults () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0 ~len:65536;
+  Memory.map m ~addr:(4 * 65536) ~len:65536;
+  Memory.set_dirty_tracking m true;
+  let cases =
+    [ ("above the table", 5 * 65536); ("in a hole", (2 * 65536) + 8);
+      ("top of addr_mask", 0x3fffffffffff land lnot 7); ("negative", -8) ]
+  in
+  List.iter
+    (fun (what, a) ->
+      let raises kind f =
+        Alcotest.check_raises (what ^ ": " ^ kind) (Memory.Fault a) f
+      in
+      raises "u8 read" (fun () -> ignore (Memory.get_u8 m a));
+      raises "u16 read" (fun () -> ignore (Memory.get_u16 m a));
+      raises "u32 read" (fun () -> ignore (Memory.get_u32 m a));
+      raises "i64 read" (fun () -> ignore (Memory.get_i64 m a));
+      raises "u8 write" (fun () -> Memory.set_u8 m a 1);
+      raises "i64 write" (fun () -> Memory.set_i64 m a 1L);
+      check Alcotest.bool (what ^ ": not mapped") false (Memory.is_mapped m a);
+      check Alcotest.bool (what ^ ": page") true
+        (Memory.page m a == Memory.unmapped);
+      check Alcotest.bool (what ^ ": wpage") true
+        (Memory.wpage m a == Memory.unmapped))
+    cases;
+  check Alcotest.(list int) "mapped chunks" [ 0; 4 ] (Memory.mapped_chunks m);
+  check Alcotest.(list int) "faulting stores dirty nothing" []
+    (Memory.dirty_chunks m);
+  Memory.set_i64 m ((5 * 65536) - 8) 3L;
+  check Alcotest.int64 "last byte of the table's last chunk" 3L
+    (Memory.get_i64 m ((5 * 65536) - 8))
+
+(* One page slot through its life: private on its first store, back to the
+   shared zero chunk on a whole-chunk fill, reading zero there, and on the
+   next store private again, with a fresh page rather than the zero
+   chunk. *)
+let test_mem_page_slot_lifecycle () =
+  let m = Memory.create () in
+  let base = 3 * 65536 in
+  Memory.map m ~addr:base ~len:65536;
+  let zero = Memory.page m base in
+  Memory.set_i64 m (base + 16) 7L;
+  let first = Memory.page m base in
+  check Alcotest.bool "first store makes the page private" true (first != zero);
+  Memory.fill_zero m ~addr:base ~len:65536;
+  check Alcotest.bool "whole-chunk fill shares the zero chunk again" true
+    (Memory.page m base == zero);
+  check Alcotest.int64 "reads zero through the same slot" 0L
+    (Memory.get_i64 m (base + 16));
+  Memory.set_u8 m (base + 3) 9;
+  let second = Memory.page m base in
+  check Alcotest.bool "a later store gets a fresh private page" true
+    (second != zero && second != first);
+  check Alcotest.int "the store landed" 9 (Memory.get_u8 m (base + 3));
+  check Alcotest.int64 "the filled value stays gone" 0L
+    (Memory.get_i64 m (base + 16));
+  let fresh = Memory.create () in
+  Memory.map fresh ~addr:base ~len:65536;
+  check Alcotest.int64 "the zero chunk was never written" 0L
+    (Memory.get_i64 fresh (base + 16))
+
+(* A copy owns its page table: mappings, fills and stores on either side
+   after the copy stay on that side, table growth included. *)
+let test_mem_copy_page_table () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0 ~len:65536;
+  Memory.set_u8 m 1 1;
+  let c = Memory.copy m in
+  Memory.map m ~addr:(8 * 65536) ~len:65536;
+  Memory.set_u8 m (8 * 65536) 2;
+  check Alcotest.bool "the copy misses the original's new mapping" false
+    (Memory.is_mapped c (8 * 65536));
+  Memory.fill_zero c ~addr:0 ~len:65536;
+  check Alcotest.int "the original keeps its bytes" 1 (Memory.get_u8 m 1);
+  check Alcotest.int "the copy was zeroed" 0 (Memory.get_u8 c 1);
+  check Alcotest.(list int) "copy's chunks" [ 0 ] (Memory.mapped_chunks c);
+  check Alcotest.(list int) "original's chunks" [ 0; 8 ]
+    (Memory.mapped_chunks m)
+
+(* Dirty flags after stores, blits and fills, kept across page-table growth
+   and copied with the memory. *)
+let test_mem_dirty_lists () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0 ~len:(2 * 65536);
+  Memory.set_dirty_tracking m true;
+  Memory.set_u32 m (65536 + 4) 5;
+  Memory.map m ~addr:(6 * 65536) ~len:(2 * 65536);
+  Memory.blit_string m ~addr:((7 * 65536) - 3) "abcdef";
+  Memory.fill_zero m ~addr:8 ~len:16;
+  check Alcotest.(list int) "stores, blits and fills" [ 0; 1; 6; 7 ]
+    (Memory.dirty_chunks m);
+  let c = Memory.copy m in
+  Memory.clear_dirty m;
+  check Alcotest.(list int) "cleared" [] (Memory.dirty_chunks m);
+  check Alcotest.(list int) "the copy keeps its flags" [ 0; 1; 6; 7 ]
+    (Memory.dirty_chunks c);
+  ignore (Memory.wpage m (6 * 65536) : Bytes.t);
+  check Alcotest.(list int) "the store path dirties its page" [ 6 ]
+    (Memory.dirty_chunks m)
+
 let prop_mem_roundtrip =
   QCheck.Test.make ~name:"memory i64 roundtrip" ~count:500
     QCheck.(pair (int_bound 0xfff0) int64)
@@ -385,6 +490,10 @@ let suite =
     ("memory fill_zero unaligned range", `Quick, test_mem_fill_zero_unaligned);
     ("memory unmapped faults under copy-on-write", `Quick, test_mem_cow_faults);
     ("memory blit straddles chunks", `Quick, test_mem_blit_straddle);
+    ("memory page table faults", `Quick, test_mem_page_table_faults);
+    ("memory page slot lifecycle", `Quick, test_mem_page_slot_lifecycle);
+    ("memory copy owns its page table", `Quick, test_mem_copy_page_table);
+    ("memory dirty lists", `Quick, test_mem_dirty_lists);
     ("cache hit/miss", `Quick, test_cache_hit_miss);
     ("cache LRU eviction", `Quick, test_cache_lru_eviction);
     ("cache full capacity hits", `Quick, test_cache_capacity);

@@ -297,6 +297,18 @@ let test_shutdown_no_drain_refunds () =
       (q.Daemon.q_fuel - used) left
   | _ -> Alcotest.fail "tenant ledger missing"
 
+(* Fewer sessions than images: only the images some session requests are
+   built, so single-flight means one cold build per requested image (the
+   load generator once demanded one per configured image, and
+   [ildp_serve --sessions 2] failed its own gate). *)
+let test_load_fewer_sessions_than_images () =
+  let s = Harness.Service_bench.run_load ~sessions:2 ~images:4 ~jobs:1 () in
+  check Alcotest.int "images clamped to the sessions" 2 s.images;
+  check Alcotest.int "one cold build per image" s.images s.cold_builds;
+  check Alcotest.int "every session completed" 2
+    (s.warm_hits + s.cold_builds);
+  check Alcotest.int "no divergence" 0 s.divergences
+
 let suite =
   [
     ("registry: single-flight under contention", `Quick,
@@ -316,4 +328,6 @@ let suite =
     ("daemon: backpressure completes", `Quick, test_backpressure_completes);
     ("daemon: drain-less shutdown refunds queued sessions", `Quick,
      test_shutdown_no_drain_refunds);
+    ("load: fewer sessions than images", `Quick,
+     test_load_fewer_sessions_than_images);
   ]
